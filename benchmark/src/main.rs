@@ -20,7 +20,7 @@ mod program;
 mod stats;
 
 use program::{
-    Conn, Fingerprint, LocalCatalog, LocalTiled, Report, Service, SplitConn, Terrain, View,
+    Conn, Fingerprint, LocalCatalog, LocalTiled, RawLine, Report, Service, SplitConn, Terrain, View,
 };
 use stats::Samples;
 use std::path::{Path, PathBuf};
@@ -61,8 +61,11 @@ impl Workload {
     /// Set-ups per run; `setup_s` is their median.
     fn setups(self) -> usize {
         match self {
-            Workload::ViewsLocal | Workload::IngestTiled => 3,
+            Workload::ViewsLocal => 3,
             Workload::ServeViews => 5,
+            // Each set-up is short (the burst is its only timed op), so
+            // its median needs more of them.
+            Workload::IngestTiled => 7,
         }
     }
 }
@@ -206,20 +209,21 @@ impl Measured {
     }
 }
 
-/// Runs whole cycles until `seconds` of cycle time have passed and at
-/// least `min_cycles` ran. Input preparation between cycles is not
-/// timed.
+/// Runs whole cycles until `seconds` of wall time have passed and at
+/// least `min_cycles` ran; returns the cycle count. Each workload times
+/// the ops inside its cycles itself.
 fn whole_cycles(
     seconds: f64,
     min_cycles: usize,
-    mut cycle: impl FnMut(usize) -> Result<Duration, String>,
-) -> Result<(usize, f64), String> {
-    let (mut cycles, mut wall) = (0, 0.0);
-    while cycles < min_cycles || wall < seconds {
-        wall += cycle(cycles)?.as_secs_f64();
+    mut cycle: impl FnMut(usize) -> Result<(), String>,
+) -> Result<usize, String> {
+    let start = Instant::now();
+    let mut cycles = 0;
+    while cycles < min_cycles || secs(start.elapsed()) < seconds {
+        cycle(cycles)?;
         cycles += 1;
     }
-    Ok((cycles, wall))
+    Ok(cycles)
 }
 
 /// Cycles a percentile needs: `p90` over `ops_per_cycle` samples per
@@ -306,7 +310,7 @@ struct LocalCycle {
     total: Duration,
 }
 
-/// Evaluates the eight views, one `evaluate` call each.
+/// Evaluates the cycle's views, one `evaluate` call each.
 fn local_cycle(tin: &program::Tin, views: &[View]) -> LocalCycle {
     let start = Instant::now();
     let (mut view_s, mut reports) = (Vec::new(), Vec::new());
@@ -338,8 +342,7 @@ fn views_local(args: &Args, tally: &mut Tally) -> Result<Measured, String> {
 
     if args.trace {
         let mut layers = LayerSamples::default();
-        let (cycles, _) = whole_cycles(args.seconds, 1, |_| {
-            let start = Instant::now();
+        let cycles = whole_cycles(args.seconds, 1, |_| {
             for (i, view) in views.iter().enumerate() {
                 let (report, evaluate_s) = timed(|| program::eval_local(&tin, view));
                 tally.op(inputs.check(i, &report));
@@ -347,24 +350,25 @@ fn views_local(args: &Args, tally: &mut Tally) -> Result<Measured, String> {
                     layers.core(&tin, view, report, evaluate_s)?;
                 }
             }
-            Ok(start.elapsed())
+            Ok(())
         })?;
         m.cycles = cycles;
         layers.finish(&mut m);
         return Ok(m);
     }
 
-    let mut lat = Vec::new();
-    let (cycles, wall) = whole_cycles(args.seconds, min_cycles_for_p90(views.len()), |_| {
+    let (mut lat, mut cycle_s) = (Vec::new(), Vec::new());
+    let cycles = whole_cycles(args.seconds, min_cycles_for_p90(views.len()), |_| {
         let cycle = local_cycle(&tin, &views);
         lat.extend_from_slice(&cycle.view_s);
+        cycle_s.push(secs(cycle.total));
         for (i, r) in cycle.reports.iter().enumerate() {
             tally.op(inputs.check(i, r));
         }
-        Ok(cycle.total)
+        Ok(())
     })?;
     m.cycles = cycles;
-    end_to_end(&mut m, lat, wall, setup)?;
+    end_to_end(&mut m, median_rate(views.len(), cycle_s), lat, setup)?;
     Ok(m)
 }
 
@@ -374,40 +378,43 @@ fn views_local(args: &Args, tally: &mut Tally) -> Result<Measured, String> {
 #[derive(Default)]
 struct ClientRun {
     lat: Vec<f64>,
+    /// Seconds each whole sweep took.
+    sweep_s: Vec<f64>,
     results: Vec<(usize, Result<Fingerprint, String>)>,
 }
 
 /// Each client runs whole sweeps of strict ping-pong `Client::eval`
 /// until `seconds` have passed and it has done `min_sweeps`; client `c`
-/// starts its sweep at view `3c` so the two are out of phase. Returns
-/// the per-client results and the wall time until the last one ended.
+/// visits the views in `orders[c]`. Returns the per-client results.
 fn ping_pong(
     conns: &mut [Conn],
     sweep: &[View],
+    orders: &[Vec<usize>],
     seconds: f64,
     min_sweeps: usize,
-) -> (Vec<ClientRun>, f64) {
+) -> Vec<ClientRun> {
     let start = Instant::now();
-    let runs: Vec<(ClientRun, Instant)> = std::thread::scope(|s| {
+    std::thread::scope(|s| {
         let handles: Vec<_> = conns
             .iter_mut()
-            .enumerate()
-            .map(|(c, conn)| {
+            .zip(orders)
+            .map(|(conn, order)| {
                 s.spawn(move || {
                     let mut run = ClientRun::default();
                     let mut sweeps = 0;
                     while sweeps < min_sweeps || secs(start.elapsed()) < seconds {
-                        for j in 0..sweep.len() {
-                            let i = (j + 3 * c) % sweep.len();
+                        let sweep_start = Instant::now();
+                        for &i in order {
                             let t = Instant::now();
                             let report = conn.eval(program::HOSTED, &sweep[i]);
                             run.lat.push(secs(t.elapsed()));
                             run.results
                                 .push((i, report.map(|r| program::fingerprint(&r))));
                         }
+                        run.sweep_s.push(secs(sweep_start.elapsed()));
                         sweeps += 1;
                     }
-                    (run, Instant::now())
+                    run
                 })
             })
             .collect();
@@ -415,9 +422,7 @@ fn ping_pong(
             .into_iter()
             .map(|h| h.join().expect("client thread panicked"))
             .collect()
-    });
-    let end = runs.iter().map(|(_, at)| *at).max().unwrap_or(start);
-    (runs.into_iter().map(|(r, _)| r).collect(), secs(end - start))
+    })
 }
 
 /// Served reports must be bit-identical to a local evaluate.
@@ -436,48 +441,28 @@ fn check_served(expected: &[Fingerprint], i: usize, got: &Result<Fingerprint, St
 /// serve_load's terrain is `diamond_square(5, 0.6, 12.0, 31)`.
 const SERVE_LOAD_SEED: u64 = 31;
 
-/// Relative band around serve_load's sweep output size that a
-/// `serve-views` terrain must fall in.
-const SERVE_K_BAND: f64 = 0.05;
-
-/// The first diamond-square terrain of the seed's stream whose sweep
-/// output size, in total and for its largest view, lies within
-/// [`SERVE_K_BAND`] of serve_load's terrain.
-///
-/// Report size grows with `k`, and the wire decoder's cost is quadratic
-/// in report size today, so a free draw swings p50 several-fold between
-/// seeds (sweep `k` ranges 2462–17404 over seeds 1–10). Pinning `k`
-/// keeps every seed at serve_load's report sizes, where the decoder
-/// cost the roadmap measured shows in full; the largest view sets p90.
-fn serve_terrain(args: &Args, sweep: &[View]) -> Result<Terrain, String> {
-    let pow2 = if args.smoke { 3 } else { 5 };
-    let shape = |t: &Terrain| -> Result<[f64; 2], String> {
-        let k = program::output_sizes(t, sweep)?;
-        Ok([
-            k.iter().sum::<usize>() as f64,
-            k.iter().copied().max().unwrap_or(0) as f64,
-        ])
-    };
-    let target = shape(&program::diamond_square_terrain(pow2, SERVE_LOAD_SEED))?;
-    for i in 0..10_000 {
-        let terrain = program::diamond_square_terrain(pow2, cycle_seed(args.seed, i));
-        if shape(&terrain)?
-            .iter()
-            .zip(&target)
-            .all(|(k, t)| (k - t).abs() <= SERVE_K_BAND * t)
-        {
-            return Ok(terrain);
-        }
-    }
-    Err(format!(
-        "no terrain within {SERVE_K_BAND} of k = {target:?} for seed {}",
-        args.seed
-    ))
+/// The order in which each client walks the sweep, drawn from the seed:
+/// every sweep does the same six views, so the work per sweep is fixed
+/// and the seed only changes how the two clients' requests interleave.
+fn sweep_orders(seed: u64, views: usize) -> Vec<Vec<usize>> {
+    (0..SERVE_CLIENTS as u64)
+        .map(|c| {
+            let mut order: Vec<usize> = (0..views).collect();
+            // Fisher–Yates over the client's own stream.
+            for i in (1..views).rev() {
+                let j = (cycle_seed(seed, c * 64 + i as u64) % (i as u64 + 1)) as usize;
+                order.swap(i, j);
+            }
+            order
+        })
+        .collect()
 }
 
 fn serve_views(args: &Args, tally: &mut Tally) -> Result<Measured, String> {
-    let sweep = program::sweep_views();
-    let terrain = serve_terrain(args, &sweep)?;
+    let pow2 = if args.smoke { 3 } else { 5 };
+    let terrain = program::diamond_square_terrain(pow2, SERVE_LOAD_SEED);
+    let sweep = program::eye_level_sweep(&terrain);
+    let orders = sweep_orders(args.seed, sweep.len());
     let tin = program::build_tin(&terrain)?;
     let local: Vec<Report> = sweep
         .iter()
@@ -500,7 +485,7 @@ fn serve_views(args: &Args, tally: &mut Tally) -> Result<Measured, String> {
             .map(|_| Conn::connect(svc.addr()))
             .collect::<Result<Vec<_>, _>>()
             .map_err(|e| format!("connect: {e}"))?;
-        let (warm, _) = ping_pong(&mut conns, &sweep, 0.0, 1);
+        let warm = ping_pong(&mut conns, &sweep, &orders, 0.0, 1);
         setup.push(secs(start.elapsed()));
         for (i, r) in warm.iter().flat_map(|c| &c.results) {
             tally.op(check_served(&expected, *i, r));
@@ -513,8 +498,7 @@ fn serve_views(args: &Args, tally: &mut Tally) -> Result<Measured, String> {
         conns.clear();
         let mut layers = LayerSamples::default();
         let mut split = SplitConn::connect(service.addr()).map_err(|e| format!("connect: {e}"))?;
-        let (cycles, _) = whole_cycles(args.seconds, 1, |_| {
-            let start = Instant::now();
+        let cycles = whole_cycles(args.seconds, 1, |_| {
             for (i, view) in sweep.iter().enumerate() {
                 let (sent, _, lines) = split
                     .roundtrip(program::HOSTED, std::slice::from_ref(view))
@@ -539,7 +523,7 @@ fn serve_views(args: &Args, tally: &mut Tally) -> Result<Measured, String> {
                     .residual_ms
                     .push((wire_s - evaluate_s - encode_s) * 1e3);
             }
-            Ok(start.elapsed())
+            Ok(())
         })?;
         drop(split);
         service.shutdown();
@@ -549,7 +533,7 @@ fn serve_views(args: &Args, tally: &mut Tally) -> Result<Measured, String> {
     }
 
     let min_sweeps = Samples::needed_for(0.9).div_ceil(SERVE_CLIENTS * sweep.len());
-    let (runs, wall) = ping_pong(&mut conns, &sweep, args.seconds, min_sweeps);
+    let runs = ping_pong(&mut conns, &sweep, &orders, args.seconds, min_sweeps);
     conns.clear();
     service.shutdown();
     let mut lat = Vec::new();
@@ -559,18 +543,22 @@ fn serve_views(args: &Args, tally: &mut Tally) -> Result<Measured, String> {
             tally.op(check_served(&expected, *i, r));
         }
     }
-    m.cycles = runs.iter().map(|r| r.lat.len() / sweep.len()).sum();
-    end_to_end(&mut m, lat, wall, setup)?;
+    m.cycles = runs.iter().map(|r| r.sweep_s.len()).sum();
+    // The clients run side by side, so their rates add up.
+    let throughput = runs
+        .iter()
+        .map(|r| median_rate(sweep.len(), r.sweep_s.clone()))
+        .sum();
+    end_to_end(&mut m, throughput, lat, setup)?;
     Ok(m)
 }
 
 // --------------------------------------------------------------- ingest-tiled
 
-/// Viewsheds per `ingest-tiled` burst. Replies decode one after another,
-/// so each reply position forms its own latency band; with an even count
-/// the nearest-rank median is the slowest reply of the lower half (the
-/// maximum of a band), which swung 47–63 ms between runs at four views.
-/// An odd count puts p50 and p90 inside a band.
+/// Viewsheds per `ingest-tiled` burst. The server writes the replies one
+/// after another, so each reply position forms its own latency band;
+/// with an odd count p50 and p90 fall inside a band rather than on the
+/// edge between two.
 const BURST_VIEWS: usize = 5;
 
 /// A fresh 181² (smoke: 33²) fBm grid and its burst of viewsheds.
@@ -584,11 +572,20 @@ fn ingest_inputs(args: &Args, i: u64) -> (Terrain, Vec<View>) {
 /// What one ingest-tiled cycle measured, for the checks after the run.
 struct IngestCycle {
     index: u64,
-    /// Upload plus burst: the cycle time `throughput_ops_s` divides by.
-    timed_s: f64,
+    /// Time inside `upload_terrain`.
+    upload_s: f64,
+    /// Priming query: send → report decoded.
+    prime_s: f64,
+    /// Burst send → its last reply line; `throughput_ops_s` is the
+    /// burst's views over the median of these.
+    burst_s: f64,
+    /// Burst send → each reply line received.
     reply_s: Vec<f64>,
-    /// Verdicts of the priming query, then of each burst view.
-    verdicts: Vec<Result<Vec<bool>, String>>,
+    /// Length in KiB and decode seconds of each reply line.
+    reply_kib: Vec<f64>,
+    decode_s: Vec<f64>,
+    /// The priming query's report, then each burst view's.
+    served: Vec<Result<Fingerprint, String>>,
 }
 
 /// An upload must be acknowledged with the bytes sent, as new content.
@@ -604,16 +601,54 @@ fn check_ack(name: &str, terrain: &Terrain, ack: Result<program::Ack, String>) -
     })
 }
 
-/// Upload a fresh terrain, prime it with the burst's first view, then
-/// pipeline the burst and time each reply.
+/// Decodes a burst's reply lines; returns the fingerprint of each view's
+/// report in view order (view `j` was sent as request `first + j`) and
+/// the seconds each line took to decode.
+fn decode_burst(
+    first: u64,
+    views: usize,
+    lines: &[RawLine],
+) -> (Vec<Result<Fingerprint, String>>, Vec<f64>) {
+    let mut slots: Vec<Option<Fingerprint>> = vec![None; views];
+    let (mut errors, mut decode_s) = (Vec::new(), Vec::new());
+    for line in lines {
+        let (decoded, s) = timed(|| program::decode_response(&line.line));
+        decode_s.push(s);
+        match decoded {
+            Ok((id, report)) => match id
+                .checked_sub(first)
+                .and_then(|j| slots.get_mut(usize::try_from(j).ok()?))
+            {
+                Some(slot @ None) => *slot = Some(program::fingerprint(&report)),
+                _ => errors.push(format!("unexpected or repeated reply id {id}")),
+            },
+            Err(e) => errors.push(e),
+        }
+    }
+    let served = slots
+        .into_iter()
+        .enumerate()
+        .map(|(j, f)| f.ok_or_else(|| format!("view {j}: no report ({})", errors.join("; "))))
+        .collect();
+    (served, decode_s)
+}
+
+/// Uploads a fresh terrain and primes it with the burst's first view,
+/// both untimed, then pipelines the burst and times each reply line.
 ///
-/// The priming query is the terrain's cold query: the server reads the
-/// blob and writes its tile pyramid (288 files at 181²) before
-/// evaluating. That write is disk-bound and ranged 4–200 ms per pyramid
-/// on one host within minutes, so it is kept out of the timed part of
-/// the cycle and reported by the traced run as `cold_query_ms_p50`.
+/// Two steps stay out of the timed part because their cost follows the
+/// host more than the program. The server decodes each 64 KiB upload
+/// line with the wire decoder, which is quadratic in line length today
+/// and whose scan loop ran 1.7× slower in some 30-second windows than in
+/// others on one 2-vCPU host. The priming query writes the cold tile
+/// pyramid (288 files at 181²), which ranged 4–200 ms within minutes.
+/// The traced run reports both (`ingest_mib_s`,
+/// `hsr-serve.upload_ms_per_chunk`, `cold_query_ms_p50`). For the same
+/// reason the burst is timed up to the arrival of each reply line; the
+/// client decodes the replies afterwards, for the output check.
 fn ingest_cycle(
     conn: &mut Conn,
+    split: &mut SplitConn,
     index: u64,
     terrain: &Terrain,
     burst: &[View],
@@ -622,34 +657,34 @@ fn ingest_cycle(
     let name = format!("ingest-{index}");
     let (ack, upload_s) = timed(|| conn.upload(&name, terrain));
     tally.op(check_ack(&name, terrain, ack));
-    let prime = conn.eval(&name, &burst[0]).map(|r| program::verdicts(&r));
-    // Burst ids start far above the ids the client numbers its own
-    // requests with, so the two can never meet.
-    let (sent, replies) = conn.burst(&name, burst, 1 << 40)?;
-    let reply_s: Vec<f64> = replies.iter().map(|r| secs(r.at - sent)).collect();
+    let (prime, prime_s) = timed(|| conn.eval(&name, &burst[0]));
+    let (sent, first, lines) = split
+        .roundtrip(&name, burst)
+        .map_err(|e| format!("burst: {e}"))?;
+    let reply_s: Vec<f64> = lines.iter().map(|l| secs(l.at - sent)).collect();
     let burst_s = reply_s.iter().copied().fold(0.0, f64::max);
-    let mut verdicts = vec![prime];
-    verdicts.extend(
-        replies
-            .into_iter()
-            .map(|r| r.report.map(|rep| program::verdicts(&rep))),
-    );
-    Ok(IngestCycle { index, timed_s: upload_s + burst_s, reply_s, verdicts })
+    let reply_kib = lines.iter().map(|l| l.line.len() as f64 / 1024.0).collect();
+    let (burst_served, decode_s) = decode_burst(first, burst.len(), &lines);
+    let mut served = vec![prime.map(|r| program::fingerprint(&r))];
+    served.extend(burst_served);
+    Ok(IngestCycle { index, upload_s, prime_s, burst_s, reply_s, reply_kib, decode_s, served })
 }
 
-/// A served viewshed's verdicts must match the local tiled scene's.
-fn same_verdicts(index: u64, served: Result<&Vec<bool>, String>, local: &Report) -> Op {
-    checked(served, |v| {
-        if *v == program::verdicts(local) {
+/// A served viewshed must be bit-identical to the local tiled scene's
+/// report of the same view: visibility map, `n`, `k`, work and verdicts.
+fn same_as_local(index: u64, served: Result<&Fingerprint, String>, local: &Report) -> Op {
+    checked(served, |got| {
+        let want = program::fingerprint(local);
+        if *got == want {
             Ok(())
         } else {
-            Err(format!("cycle {index}: served verdicts differ from local tiled scene"))
+            Err(format!("cycle {index}: served {got:?} differs from local tiled scene {want:?}"))
         }
     })
 }
 
-/// Each served viewshed's verdicts must match a local `TiledScene` built
-/// from the same grid and tiling.
+/// Each served viewshed must equal a local `TiledScene` built from the
+/// same grid and tiling.
 fn check_ingest(
     args: &Args,
     work: &Path,
@@ -662,8 +697,8 @@ fn check_ingest(
     let (local, _, _) = LocalTiled::open(&dir)?.eval_many(&burst)?;
     std::fs::remove_dir_all(&dir).map_err(|e| format!("remove {}: {e}", dir.display()))?;
     let expected = std::iter::once(&local[0]).chain(&local);
-    for (served, local) in cycle.verdicts.iter().zip(expected) {
-        tally.op(same_verdicts(
+    for (served, local) in cycle.served.iter().zip(expected) {
+        tally.op(same_as_local(
             cycle.index,
             served.as_ref().map_err(|e| format!("eval: {e}")),
             &local.report,
@@ -675,11 +710,11 @@ fn check_ingest(
 fn ingest_tiled(args: &Args, work: &Path, tally: &mut Tally) -> Result<Measured, String> {
     let mut m = Measured::default();
     let mut setup = Vec::new();
-    let mut current: Option<(Service, Conn)> = None;
+    let mut current: Option<(Service, Conn, SplitConn)> = None;
     let mut warm = Vec::new();
     for k in 0..args.workload.setups() {
-        if let Some((svc, conn)) = current.take() {
-            drop(conn);
+        if let Some((svc, conn, split)) = current.take() {
+            drop((conn, split));
             svc.shutdown();
         }
         let index = 1_000_000 + k as u64;
@@ -688,54 +723,38 @@ fn ingest_tiled(args: &Args, work: &Path, tally: &mut Tally) -> Result<Measured,
         let start = Instant::now();
         let svc = Service::catalog(&dir).map_err(|e| format!("catalog server: {e}"))?;
         let mut conn = Conn::connect(svc.addr()).map_err(|e| format!("connect: {e}"))?;
-        warm.push(ingest_cycle(&mut conn, index, &terrain, &burst, tally)?);
-        setup.push(secs(start.elapsed()));
-        current = Some((svc, conn));
+        let mut split = SplitConn::connect(svc.addr()).map_err(|e| format!("connect: {e}"))?;
+        let open_s = secs(start.elapsed());
+        let cycle = ingest_cycle(&mut conn, &mut split, index, &terrain, &burst, tally)?;
+        // As in every cycle, the upload and the priming query are untimed.
+        setup.push(open_s + cycle.burst_s);
+        warm.push(cycle);
+        current = Some((svc, conn, split));
     }
     for cycle in &warm {
         check_ingest(args, work, cycle, tally)?;
     }
-    let (service, mut conn) = current.expect("at least one set-up");
+    let (service, mut conn, mut split) = current.expect("at least one set-up");
 
     if args.trace {
         let mut layers = LayerSamples::default();
-        let mut split = SplitConn::connect(service.addr()).map_err(|e| format!("connect: {e}"))?;
         let catalog = LocalCatalog::open(&work.join("local-catalog"))?;
-        let (cycles, _) = whole_cycles(args.seconds, 1, |i| {
+        let cycles = whole_cycles(args.seconds, 1, |i| {
             let (terrain, burst) = ingest_inputs(args, i as u64);
-            let name = format!("ingest-{i}");
-            let start = Instant::now();
-            let (ack, upload_s) = timed(|| conn.upload(&name, &terrain));
-            tally.op(check_ack(&name, &terrain, ack));
+            let cycle = ingest_cycle(&mut conn, &mut split, i as u64, &terrain, &burst, tally)?;
             layers
                 .ingest_mib_s
-                .push(mib(terrain.payload_bytes() as f64) / upload_s);
+                .push(mib(terrain.payload_bytes() as f64) / cycle.upload_s);
             layers
                 .upload_ms_per_chunk
-                .push(upload_s * 1e3 / terrain.upload_chunks() as f64);
-
-            let (sent, prime_id, prime) = split
-                .roundtrip(&name, &burst[..1])
-                .map_err(|e| format!("split client: {e}"))?;
-            let (decoded, decode_s) = timed(|| program::decode_response(&prime[0].line));
+                .push(cycle.upload_s * 1e3 / terrain.upload_chunks() as f64);
+            layers.cold_query_ms.push(cycle.prime_s * 1e3);
             layers
-                .cold_query_ms
-                .push((secs(prime[0].at - sent) + decode_s) * 1e3);
-            let mut served = std::collections::HashMap::new();
-            served.insert(prime_id, decoded.map(|(_, r)| program::verdicts(&r)));
-            let (sent, first_id, lines) = split
-                .roundtrip(&name, &burst)
-                .map_err(|e| format!("split client: {e}"))?;
-            let burst_s = secs(lines.last().expect("a non-empty burst").at - sent);
-            for line in &lines {
-                let (decoded, decode_s) = timed(|| program::decode_response(&line.line));
-                layers.decode_ms.push(decode_s * 1e3);
-                layers.response_kib.push(line.line.len() as f64 / 1024.0);
-                if let Ok((id, report)) = decoded {
-                    served.insert(id, Ok(program::verdicts(&report)));
-                }
-            }
+                .decode_ms
+                .extend(cycle.decode_s.iter().map(|s| s * 1e3));
+            layers.response_kib.extend_from_slice(&cycle.reply_kib);
 
+            let name = format!("ingest-{i}");
             let (committed, commit_s) = timed(|| catalog.upload(&name, &terrain));
             committed?;
             layers.commit_ms.push(commit_s * 1e3);
@@ -750,15 +769,9 @@ fn ingest_tiled(args: &Args, work: &Path, tally: &mut Tally) -> Result<Measured,
             let (local, hits, lookups) = evaluated?;
             layers.eval_many_ms.push(eval_many_s * 1e3);
             layers.hit_ratio.push(hits as f64 / lookups.max(1) as f64);
-            let ids =
-                std::iter::once(prime_id).chain((0..burst.len() as u64).map(|j| first_id + j));
-            for (id, out) in ids.zip(primed.iter().chain(&local)) {
-                let got = match served.get(&id) {
-                    Some(Ok(v)) => Ok(v),
-                    Some(Err(e)) => Err(format!("cycle {i}: {e}")),
-                    None => Err(format!("cycle {i}: no served report for request {id}")),
-                };
-                tally.op(same_verdicts(i as u64, got, &out.report));
+            for (got, out) in cycle.served.iter().zip(primed.iter().chain(&local)) {
+                let got = got.as_ref().map_err(|e| format!("cycle {i}: {e}"));
+                tally.op(same_as_local(i as u64, got, &out.report));
             }
             let mut encode_total = 0.0;
             for (view, out) in burst.iter().zip(&local) {
@@ -774,10 +787,9 @@ fn ingest_tiled(args: &Args, work: &Path, tally: &mut Tally) -> Result<Measured,
             }
             layers
                 .residual_ms
-                .push((burst_s - eval_many_s - encode_total) * 1e3);
+                .push((cycle.burst_s - eval_many_s - encode_total) * 1e3);
             drop(scene);
-            std::fs::remove_dir_all(&dir).map_err(|e| format!("remove {}: {e}", dir.display()))?;
-            Ok(start.elapsed())
+            std::fs::remove_dir_all(&dir).map_err(|e| format!("remove {}: {e}", dir.display()))
         })?;
         drop((split, conn));
         service.shutdown();
@@ -787,22 +799,21 @@ fn ingest_tiled(args: &Args, work: &Path, tally: &mut Tally) -> Result<Measured,
     }
 
     let mut done = Vec::new();
-    let (cycles, wall) = whole_cycles(args.seconds, min_cycles_for_p90(BURST_VIEWS), |i| {
+    let cycles = whole_cycles(args.seconds, min_cycles_for_p90(BURST_VIEWS), |i| {
         let (terrain, burst) = ingest_inputs(args, i as u64);
-        let cycle = ingest_cycle(&mut conn, i as u64, &terrain, &burst, tally)?;
-        let timed_s = cycle.timed_s;
-        done.push(cycle);
-        Ok(Duration::from_secs_f64(timed_s))
+        done.push(ingest_cycle(&mut conn, &mut split, i as u64, &terrain, &burst, tally)?);
+        Ok(())
     })?;
-    drop(conn);
+    drop((conn, split));
     service.shutdown();
-    let mut lat = Vec::new();
+    let (mut lat, mut burst_s) = (Vec::new(), Vec::new());
     for cycle in &done {
         check_ingest(args, work, cycle, tally)?;
         lat.extend_from_slice(&cycle.reply_s);
+        burst_s.push(cycle.burst_s);
     }
     m.cycles = cycles;
-    end_to_end(&mut m, lat, wall, setup)?;
+    end_to_end(&mut m, median_rate(BURST_VIEWS, burst_s), lat, setup)?;
     Ok(m)
 }
 
@@ -914,15 +925,25 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (out, secs(t.elapsed()))
 }
 
-/// The end-to-end metrics: throughput of the `latency` samples over
-/// `wall` seconds, their p50 and p90, the median set-up, and peak RSS.
+/// Ops per second of the median cycle: `ops` ops per cycle over the
+/// median of the cycle times `cycle_s`. A median, so that host stalls
+/// in a minority of the cycles do not move it.
+fn median_rate(ops: usize, cycle_s: Vec<f64>) -> f64 {
+    let median = Samples::new(cycle_s).median().expect("at least one cycle");
+    ops as f64 / median
+}
+
+/// The end-to-end metrics: `throughput` (ops/s, over `m.cycles` cycles),
+/// the p50 and p90 of the `latency` samples, the median set-up, and peak
+/// RSS.
 fn end_to_end(
     m: &mut Measured,
+    throughput: f64,
     latency: Vec<f64>,
-    wall: f64,
     setup: Vec<f64>,
 ) -> Result<(), String> {
-    m.put("throughput_ops_s", latency.len() as f64 / wall, "ops/s");
+    m.samples.push(("throughput_ops_s", m.cycles));
+    m.put("throughput_ops_s", throughput, "ops/s");
     let latency = Samples::new(latency);
     m.latency_max_ms = latency.max().map(|s| s * 1e3);
     m.percentile_ms("latency_ms_p50", &latency, 0.5)?;

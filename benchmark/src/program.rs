@@ -86,9 +86,14 @@ pub fn diamond_square_terrain(pow2: u32, seed: u64) -> Terrain {
     Terrain::new(gen::diamond_square(pow2, 0.6, 12.0, seed))
 }
 
-/// The eight default-config views of one `views-local` cycle: five
+/// The nine default-config views of one `views-local` cycle: five
 /// orthographic azimuths, two perspective eyes outside the ground box,
-/// and one viewshed of sixteen targets spread across the terrain.
+/// one eye-level perspective view (see [`eye_level_sweep`]), and one
+/// viewshed of sixteen targets spread across the terrain.
+///
+/// Views differ in cost by up to 2.3×, so each forms its own latency
+/// band; with an odd count the nearest-rank median falls inside a band
+/// rather than on the edge between two.
 pub fn local_views(t: &Terrain) -> Vec<View> {
     let (x_lo, x_hi, y_lo, y_hi, z_hi) = t.span();
     let (w, mid_y) = (x_hi - x_lo, 0.5 * (y_lo + y_hi));
@@ -107,6 +112,8 @@ pub fn local_views(t: &Terrain) -> Vec<View> {
         1.2,
         256,
     ));
+    let eye = eye_level(t, mid_y);
+    views.push(View::perspective(eye, Point3::new(x_lo, mid_y, eye.z - 1.0), 1.2, 256));
     let targets = (0..16)
         .map(|i| {
             let f = (i as f64 + 0.5) / 16.0;
@@ -118,31 +125,42 @@ pub fn local_views(t: &Terrain) -> Vec<View> {
     views
 }
 
-/// Output size `k` of each view, computed with the Sequential baseline
-/// (the cheapest engine; every engine reports the same `k`).
-pub fn output_sizes(t: &Terrain, views: &[View]) -> Result<Vec<usize>, String> {
-    let tin = build_tin(t)?;
-    views
-        .iter()
-        .map(|v| eval_sequential(&tin, v).map(|r| r.k))
-        .collect()
+/// Where an eye-level view stands for position `y` along the front (+x)
+/// edge: one unit outside the edge and one unit above the ground there.
+fn eye_level(t: &Terrain, y: f64) -> Point3 {
+    let (_, x_hi, ..) = t.span();
+    Point3::new(x_hi + 1.0, y, t.grid.sample(x_hi, y) + 1.0)
 }
 
-/// serve_load's 6-azimuth orthographic sweep.
-pub fn sweep_views() -> Vec<View> {
+/// Six eye-level perspective views: eyes at six evenly spaced points of
+/// the front edge, each looking straight across the terrain.
+///
+/// From eye level the near ridges hide most of the surface, so a report
+/// stays small (k ≈ 130–470 on serve_load's terrain, against ≈ 1100 for
+/// its orthographic sweep) while the evaluation still orders and merges
+/// every edge. Report decode is quadratic in report size today, and its
+/// scan loop ran 1.7× slower in some 30-second windows than in others on
+/// one 2-vCPU host; at eye level it is about a tenth of each request
+/// rather than half.
+pub fn eye_level_sweep(t: &Terrain) -> Vec<View> {
+    let (x_lo, _, y_lo, y_hi, _) = t.span();
     (0..6)
-        .map(|i| View::orthographic(0.12 * i as f64))
+        .map(|i| {
+            let eye = eye_level(t, y_lo + (i as f64 + 0.5) / 6.0 * (y_hi - y_lo));
+            View::perspective(eye, Point3::new(x_lo, eye.y, eye.z - 1.0), 1.2, 256)
+        })
         .collect()
 }
 
-/// `views` viewsheds whose three targets each sit just inside the front
-/// edge, so each view selects one or two tiles of the front column.
+/// `views` viewsheds from eye-level observers whose three targets each
+/// sit just inside the front edge, so each view selects one or two tiles
+/// of the front column.
 pub fn front_edge_burst(t: &Terrain, views: usize) -> Vec<View> {
-    let (_, x_hi, y_lo, y_hi, z_hi) = t.span();
+    let (_, x_hi, y_lo, y_hi, _) = t.span();
     (0..views)
         .map(|i| {
             let y = y_lo + (i as f64 + 0.5) / views as f64 * (y_hi - y_lo);
-            let observer = Point3::new(x_hi + 20.0, y, z_hi + 10.0);
+            let observer = eye_level(t, y);
             let targets = [-2.0, 0.0, 2.0]
                 .iter()
                 .map(|dy| {
@@ -192,11 +210,6 @@ pub fn fingerprint(r: &Report) -> Fingerprint {
     }
     h.write_usize(r.verdicts.len());
     Fingerprint { vis, n: r.n, k: r.k, work: r.cost.total_work(), verdicts: h.finish() }
-}
-
-/// Viewshed verdicts as visible flags.
-pub fn verdicts(r: &Report) -> Vec<bool> {
-    r.verdicts.iter().map(|v| *v == Verdict::Visible).collect()
 }
 
 /// Triangulates and validates the grid into a TIN.
@@ -375,12 +388,6 @@ pub struct Ack {
     pub deduped: bool,
 }
 
-/// One burst reply: when it was decoded and what it held.
-pub struct Reply {
-    pub at: Instant,
-    pub report: Result<Report, String>,
-}
-
 /// A blocking `hsr_serve::Client` connection.
 pub struct Conn {
     client: Client,
@@ -408,45 +415,6 @@ impl Conn {
             .upload_terrain(name, format, "hsr-perf", &t.bytes)
             .map_err(|e| e.to_string())?;
         Ok(Ack { bytes: ack.bytes, deduped: ack.deduped })
-    }
-
-    /// Pipelines one eval request per view the way
-    /// `Client::eval_pipelined` does (every request written before any
-    /// response is read), but through `Client::send`/`Client::recv`, so
-    /// each reply carries the instant it was decoded. Returns the send
-    /// instant and the replies in view order.
-    pub fn burst(
-        &mut self,
-        terrain: &str,
-        views: &[View],
-        first_id: u64,
-    ) -> Result<(Instant, Vec<Reply>), String> {
-        let sent = Instant::now();
-        for (i, view) in views.iter().enumerate() {
-            let request = Request::eval(first_id + i as u64, terrain, view.clone());
-            self.client.send(&request).map_err(|e| e.to_string())?;
-        }
-        let mut replies: Vec<Option<Reply>> = views.iter().map(|_| None).collect();
-        for _ in views {
-            let response = self.client.recv().map_err(|e| e.to_string())?;
-            let at = Instant::now();
-            let slot = response
-                .id
-                .checked_sub(first_id)
-                .and_then(|i| replies.get_mut(i as usize))
-                .ok_or_else(|| format!("unexpected response id {}", response.id))?;
-            if slot.is_some() {
-                return Err(format!("duplicate response id {}", response.id));
-            }
-            *slot = Some(Reply { at, report: response.into_result().map_err(|e| e.to_string()) });
-        }
-        Ok((
-            sent,
-            replies
-                .into_iter()
-                .map(|r| r.expect("every id answered once"))
-                .collect(),
-        ))
     }
 }
 

@@ -199,6 +199,28 @@ fn smoke_run(workload: &str, trace: bool) -> (Json, Json) {
     (parse(lines[lines.len() - 2]).get("host").clone(), parse(lines[lines.len() - 1]))
 }
 
+/// The per-layer metrics a workload's traced run reaches: every one must
+/// have samples and a non-zero value there. A name ending in `.` stands
+/// for every metric of that layer.
+fn layers_called(workload: &str) -> &'static [&'static str] {
+    match workload {
+        "views-local" => &["hsr-core.", "hsr-pram.", "hsr-pstruct.", "hsr-geometry."],
+        "serve-views" => &[
+            "serde_json.",
+            "hsr-serve.residual_ms",
+            "hsr-core.evaluate_ms",
+        ],
+        "ingest-tiled" => &[
+            "ingest_mib_s",
+            "cold_query_ms_p50",
+            "hsr-serve.upload_ms_per_chunk",
+            "hsr-catalog.",
+            "hsr-tile.",
+        ],
+        other => panic!("no layer list for workload {other}"),
+    }
+}
+
 fn check(workload: &str, trace: bool, metrics: &[Json]) {
     let (host, result) = smoke_run(workload, trace);
     let keys: Vec<&str> = result.obj().keys().map(String::as_str).collect();
@@ -226,6 +248,23 @@ fn check(workload: &str, trace: bool, metrics: &[Json]) {
         assert!(value.is_finite());
         // End-to-end metrics are compared as ratios between runs.
         assert!(trace || value > 0.0, "{workload}: {name} reads {value}");
+        let called = layers_called(workload)
+            .iter()
+            .any(|l| name == *l || (l.ends_with('.') && name.starts_with(l)));
+        if trace && called {
+            let samples = host.get("samples").get(name).num();
+            assert!(samples > 0.0, "{workload}: no {name} samples");
+            assert!(value != 0.0, "{workload}: {name} reads 0 over {samples} samples");
+        }
+    }
+    if trace {
+        // Every layer list names something this benchmark declares.
+        for l in layers_called(workload) {
+            assert!(
+                metrics.iter().any(|m| m.get("name").str().starts_with(l)),
+                "{workload}: {l} matches no declared metric"
+            );
+        }
     }
 }
 
