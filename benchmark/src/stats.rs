@@ -30,20 +30,14 @@ impl Samples {
         self.sorted.len()
     }
 
+    /// The smallest sample.
+    pub fn min(&self) -> Option<f64> {
+        self.sorted.first().copied()
+    }
+
     /// The largest sample.
     pub fn max(&self) -> Option<f64> {
         self.sorted.last().copied()
-    }
-
-    /// Smallest sample count for which [`Samples::percentile`] reports
-    /// `p`.
-    pub fn needed_for(p: f64) -> usize {
-        if p <= 0.5 {
-            return 1;
-        }
-        (1..)
-            .find(|&n| n - rank(p, n) >= MIN_BEYOND)
-            .expect("some n suffices")
     }
 
     /// The nearest-rank `p`-th percentile, `p` in `(0, 1]`; `None` when
@@ -115,9 +109,8 @@ mod tests {
     fn sample_counts_are_reported() {
         assert_eq!(Samples::new(Vec::new()).len(), 0);
         assert_eq!(one_to(37).len(), 37);
-        assert_eq!(Samples::needed_for(0.5), 1);
-        assert_eq!(Samples::needed_for(0.9), 100);
-        assert_eq!(Samples::needed_for(0.99), 1000);
+        assert_eq!(one_to(37).min(), Some(1.0));
+        assert_eq!(Samples::new(Vec::new()).min(), None);
     }
 
     #[test]
