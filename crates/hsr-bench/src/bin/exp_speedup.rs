@@ -3,7 +3,9 @@
 //!
 //! For each workload: measure work `W` and depth `D` once, calibrate
 //! `T_p = cw·W/p + cd·D`, then sweep the thread count and compare measured
-//! wall time against the model.
+//! wall time against the model. Beside the self-relative speedup each row
+//! gives Parallel ÷ Sequential: the parallel time over the sequential
+//! Reif–Sen baseline's single-thread wall time on the same input.
 //!
 //! ```sh
 //! cargo run --release -p hsr-bench --bin exp_speedup [-- --json]
@@ -11,6 +13,7 @@
 
 use hsr_bench::harness::{maybe_write_reports, md_table, time_best};
 use hsr_core::view::{evaluate, Report, View};
+use hsr_core::Algorithm;
 use hsr_pram::merge::par_merge;
 use hsr_pram::pool::{max_threads, with_threads};
 use hsr_pram::{BrentModel, CostCollector};
@@ -38,13 +41,15 @@ fn main() {
         println!("k = {}, work = {work}, depth = {depth}", res.k);
         kept.push((w.name(), res));
 
+        let reps = if quick { 1 } else { 2 };
         let measure = |p: usize| {
             with_threads(p, || {
-                time_best(if quick { 1 } else { 2 }, || {
-                    evaluate(&tin, &View::orthographic(0.0)).unwrap().k
-                })
+                time_best(reps, || evaluate(&tin, &View::orthographic(0.0)).unwrap().k)
             })
         };
+        let sequential = View::orthographic(0.0).algorithm(Algorithm::Sequential);
+        let t_seq = with_threads(1, || time_best(reps, || evaluate(&tin, &sequential).unwrap().k));
+        println!("Sequential (1 thread): {:.1} ms", t_seq * 1e3);
         let t1 = measure(1);
         let tp = measure(max_p);
         let model = BrentModel::calibrate(work, depth, t1, max_p, tp);
@@ -59,6 +64,7 @@ fn main() {
                 format!("{:.1}", model.predict(p) * 1e3),
                 format!("{:.2}", t1 / t),
                 format!("{:.2}", model.predicted_speedup(p)),
+                format!("{:.2}", t / t_seq),
             ]);
             p *= 2;
         }
@@ -69,6 +75,7 @@ fn main() {
                 "Brent ms",
                 "speedup",
                 "Brent speedup",
+                "Parallel ÷ Sequential",
             ],
             &rows,
         );

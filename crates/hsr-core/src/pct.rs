@@ -15,6 +15,13 @@
 //!   `e_i` above it is visible — and *stays* visible in the final image,
 //!   which is what lets every discovered crossing be charged to `k`.
 //!
+//! Each merge is one descent of the prefix treap
+//! ([`PEnvelope::merge`]) that copies a node only where `Σ_left` surfaces
+//! or crosses the prefix, so a layer's new nodes track the output it
+//! finds rather than the sizes of the profiles it merges; a leaf runs the
+//! same descent without building anything ([`PEnvelope::classify_one`]).
+//! The nodes of one layer run in parallel; a single merge does not fork.
+//!
 //! Two phase-2 engines implement DESIGN.md §4.3's two realizations:
 //! [`Pct::phase2`] (persistent, shared profiles) and
 //! [`Pct::phase2_rebuild`] (static envelopes copied per node — the

@@ -9,19 +9,27 @@
 //! * the *left* child of a PCT node inherits its parent's profile in `O(1)`
 //!   (an `Arc` clone), sharing every node — the sharing Figure 1 of the
 //!   paper depicts;
-//! * the *right* child's profile is produced by [`PEnvelope::merge`], which
-//!   path-copies only around the places where the intermediate profile
-//!   actually interacts with the prefix profile. Subtrees wholly above the
-//!   new segments are kept shared untouched; wholly buried subtrees are
-//!   dropped in `O(log)`; each genuinely interacting piece pair is resolved
-//!   in `O(1)` and two linear pieces cross at most once, so every leaf-level
-//!   interaction either produces an image vertex (chargeable to the output
-//!   size `k`) or finishes a pruned search path.
+//! * the *right* child's profile comes from [`PEnvelope::merge`], one
+//!   recursive descent that overlays the whole sorted intermediate run `σ`
+//!   onto the prefix treap. Each subtree sees only the run pieces inside
+//!   its key window, found by binary search on the one run. A subtree the
+//!   run misses, a gap-free subtree that dominates the run over its
+//!   extent, and a prefix piece the run stays under all come back as the
+//!   same `Arc`, uncut; a subtree the run buries is replaced by the run.
+//!   Both prune tests cost `O(1)` per node from range-min/max tables built
+//!   once per merge. A node is copied only when its piece or a child
+//!   changed, so the copies are the paths down to where `σ` surfaces —
+//!   each surfaced piece or crossing is a visible piece or image vertex,
+//!   chargeable to the output size `k` — plus the joins that splice the
+//!   surfaced pieces in.
+//!
+//! [`PEnvelope::classify_one`], the leaf case, runs the same descent with
+//! node assembly switched off.
 
 use crate::envelope::{relate, CrossEvent, Envelope, EnvelopeBuilder, Piece, Relation};
 use hsr_geometry::TotalF64;
 use hsr_pram::cost::{add_work, Category};
-use hsr_pstruct::{det_prio, Aggregate, PTreap};
+use hsr_pstruct::{Aggregate, PTreap};
 
 /// Subtree aggregate of a piece treap: extent, ordinate range, and whether
 /// the subtree's pieces tile their extent without interior gaps.
@@ -71,7 +79,7 @@ type Tree = PTreap<TotalF64, Piece, EnvAgg>;
 pub struct MergeStats {
     /// Subtrees kept fully shared because the prefix profile dominated.
     pub subtrees_shared: u64,
-    /// Subtrees dropped whole because the new segment dominated.
+    /// Subtrees dropped whole because the merged run buried them.
     pub subtrees_dropped: u64,
     /// Prefix-profile pieces buried (removed from the profile).
     pub pieces_buried: u64,
@@ -105,8 +113,8 @@ pub struct MergeOutcome {
 }
 
 /// Result of a read-only classification of one piece against a profile —
-/// everything [`PEnvelope::merge_one`] reports except the merged profile
-/// version itself.
+/// everything [`PEnvelope::merge`] reports for that one-piece run except
+/// the merged profile version itself.
 pub struct ClassifyOutcome {
     /// Interior crossings discovered (vertices of the visible image).
     pub crossings: Vec<CrossEvent>,
@@ -165,462 +173,277 @@ impl PEnvelope {
         &self.t
     }
 
-    /// Splits at abscissa `x`, cutting any straddling piece exactly so that
-    /// the left part holds everything on `[−∞, x]` and the right part
-    /// everything on `[x, +∞]`.
-    pub fn split_clip(&self, x: f64) -> (PEnvelope, PEnvelope) {
-        let (mut l, mut r) = self.t.split_at(&TotalF64(x), false);
-        if let Some((_, p)) = l.last() {
-            let p = *p;
-            if p.x1 > x {
-                // The left part keeps the straddler's key (`p.x0`), so a
-                // single insert replaces it in place — no separate remove
-                // pass. `clip(p.x0, x)` is non-empty since p straddles x.
-                match p.clip(p.x0, x) {
-                    Some(pl) => l = l.insert(TotalF64(pl.x0), pl),
-                    None => l = l.remove(&TotalF64(p.x0)),
-                }
-                if let Some(pr) = p.clip(x, p.x1) {
-                    r = r.insert(TotalF64(pr.x0), pr);
-                }
-            }
-        }
-        (PEnvelope { t: l }, PEnvelope { t: r })
-    }
-
     /// Merges an intermediate profile (a sorted, disjoint piece run —
     /// the form PCT phase 1 stores) into this prefix profile, returning
     /// the new version plus the crossings and surfaced pieces. `self` is
-    /// untouched (persistence).
+    /// untouched (persistence); where the two tie, the prefix stays.
     pub fn merge(&self, sigma: &[Piece]) -> MergeOutcome {
-        let (t, crossings, inserted_raw, stats) = rec(self.t.clone(), sigma, 0, sigma.len());
-        add_work(Category::EnvelopeMerge, stats.visits + sigma.len() as u64);
-        add_work(Category::Crossings, crossings.len() as u64);
-        // Coalesce surfaced fragments of the same edge.
-        let mut b = EnvelopeBuilder::with_capacity(inserted_raw.len());
-        for p in inserted_raw {
-            b.push(p);
+        let mut o = Overlay::new(sigma, true);
+        let t = o.descend(&self.t, f64::NEG_INFINITY, f64::INFINITY, 0, sigma.len());
+        let (crossings, inserted, stats) = o.finish();
+        MergeOutcome {
+            env: PEnvelope { t: t.unwrap_or_else(|| self.t.clone()) },
+            crossings,
+            inserted,
+            stats,
         }
-        MergeOutcome { env: PEnvelope { t }, crossings, inserted: b.finish(), stats }
-    }
-
-    /// Merges a single piece — the leaf case of phase 2, without building
-    /// a one-piece envelope first.
-    pub fn merge_one(&self, s: Piece) -> MergeOutcome {
-        let mut stats = MergeStats::default();
-        let mut crossings = Vec::new();
-        let mut inserted_raw = Vec::new();
-        let t = merge_piece(self.t.clone(), s, &mut crossings, &mut inserted_raw, &mut stats);
-        add_work(Category::EnvelopeMerge, stats.visits + 1);
-        add_work(Category::Crossings, crossings.len() as u64);
-        let mut b = EnvelopeBuilder::with_capacity(inserted_raw.len());
-        for p in inserted_raw {
-            b.push(p);
-        }
-        MergeOutcome { env: PEnvelope { t }, crossings, inserted: b.finish(), stats }
     }
 
     /// Classifies a single piece against the profile *without producing a
     /// new profile version* — the leaf case of phase 2, where the merged
-    /// treap is discarded and only the surfaced pieces and crossings are
-    /// consumed.
-    ///
-    /// Bit-identical to [`PEnvelope::merge_one`]'s `inserted`/`crossings`:
-    /// the same boundary cuts `split_clip` would apply are applied to the
-    /// overlapping pieces, and the overlay recursion is mirrored on the
-    /// resulting sorted run. Because priorities are deterministic, the
-    /// treap shape over any key set is the unique (BST + heap) shape, so
-    /// the shape — and with it the exact clip cascade applied to `s` on
-    /// the way down — is recoverable from the run by recursive
-    /// maximum-priority selection. No treap node is copied or allocated.
+    /// treap would be discarded and only the surfaced pieces and crossings
+    /// are consumed. It runs [`PEnvelope::merge`]'s descent with node
+    /// assembly switched off, so it reports exactly what `merge(&[s])`
+    /// reports and allocates no treap node.
     pub fn classify_one(&self, s: Piece) -> ClassifyOutcome {
-        let mut stats = MergeStats::default();
-        let mut crossings = Vec::new();
-        let mut inserted_raw = Vec::new();
+        let mut o = Overlay::new(std::slice::from_ref(&s), false);
+        o.descend(&self.t, f64::NEG_INFINITY, f64::INFINITY, 0, 1);
+        let (crossings, inserted, stats) = o.finish();
+        ClassifyOutcome { crossings, inserted, stats }
+    }
+}
 
-        // The pieces the two `split_clip`s would leave in the middle tree:
-        // keys in [s.x0, s.x1), the left straddler cut at s.x0 first, then
-        // the (possibly same) right straddler cut at s.x1 — same clip
-        // order, hence the same endpoint arithmetic.
-        let mut mid: Vec<Piece> = Vec::new();
-        if let Some(p) = floor_strict(&self.t, TotalF64(s.x0)) {
-            if p.x1 > s.x0 {
-                if let Some(pr) = p.clip(s.x0, p.x1) {
-                    mid.push(pr);
-                }
-            }
+/// One overlay of a run `σ` onto a prefix treap: the run with its range
+/// tables, and what the descent has found so far. With `build` off the
+/// descent takes the same decisions and reports the same, but assembles
+/// no nodes.
+struct Overlay<'a> {
+    sigma: &'a [Piece],
+    /// `spans[l][i]`: the lowest `z_min` and highest `z_max` over
+    /// `sigma[i..i + 2^(l+1)]` (a sparse table; single pieces are read
+    /// directly).
+    spans: Vec<Vec<(f64, f64)>>,
+    /// `gaps[i]`: how many neighbour pairs within `sigma[..=i]` leave a
+    /// gap (empty for a one-piece run, which has none).
+    gaps: Vec<u32>,
+    build: bool,
+    cross: Vec<CrossEvent>,
+    ins: Vec<Piece>,
+    stats: MergeStats,
+}
+
+impl<'a> Overlay<'a> {
+    fn new(sigma: &'a [Piece], build: bool) -> Self {
+        let mut spans: Vec<Vec<(f64, f64)>> = Vec::new();
+        let mut half = 1;
+        while 2 * half <= sigma.len() {
+            let at = |i: usize| match spans.last() {
+                Some(prev) => prev[i],
+                None => (sigma[i].z_min(), sigma[i].z_max()),
+            };
+            let level = (0..=sigma.len() - 2 * half)
+                .map(|i| {
+                    let (a, b) = (at(i), at(i + half));
+                    (a.0.min(b.0), a.1.max(b.1))
+                })
+                .collect();
+            spans.push(level);
+            half *= 2;
         }
-        collect_range(&self.t, TotalF64(s.x0), TotalF64(s.x1), &mut mid);
-        if let Some(last) = mid.last_mut() {
-            if last.x1 > s.x1 {
-                match last.clip(last.x0, s.x1) {
-                    Some(ql) => *last = ql,
-                    None => {
-                        mid.pop();
-                    }
-                }
-            }
-        }
-        let prios: Vec<u64> = mid.iter().map(|p| det_prio(&TotalF64(p.x0))).collect();
+        let gaps = match sigma.len() {
+            0 | 1 => Vec::new(),
+            _ => std::iter::once(0)
+                .chain(sigma.windows(2).scan(0, |n, w| {
+                    *n += u32::from(w[0].x1 < w[1].x0);
+                    Some(*n)
+                }))
+                .collect(),
+        };
+        let (cross, ins, stats) = (Vec::new(), Vec::new(), MergeStats::default());
+        Overlay { sigma, spans, gaps, build, cross, ins, stats }
+    }
 
-        ghost_overlay(&mid, &prios, 0, mid.len(), s, &mut crossings, &mut inserted_raw, &mut stats);
-
-        add_work(Category::EnvelopeMerge, stats.visits + 1);
-        add_work(Category::Crossings, crossings.len() as u64);
-        let mut b = EnvelopeBuilder::with_capacity(inserted_raw.len());
-        for p in inserted_raw {
+    /// Charges the merge's work and hands over what it found, surfaced
+    /// fragments of one edge coalesced.
+    fn finish(self) -> (Vec<CrossEvent>, Vec<Piece>, MergeStats) {
+        add_work(Category::EnvelopeMerge, self.stats.visits + self.sigma.len() as u64);
+        add_work(Category::Crossings, self.cross.len() as u64);
+        let mut b = EnvelopeBuilder::with_capacity(self.ins.len());
+        for p in self.ins {
             b.push(p);
         }
-        ClassifyOutcome { crossings, inserted: b.finish(), stats }
+        (self.cross, b.finish(), self.stats)
     }
-}
 
-/// Largest piece keyed strictly below `key` (the left-straddler candidate).
-fn floor_strict(t: &Tree, key: TotalF64) -> Option<Piece> {
-    let mut cur = t.root();
-    let mut best = None;
-    while let Some(n) = cur {
-        if *n.key() < key {
-            best = Some(*n.value());
-            cur = n.right().root();
+    /// The pieces of `sigma[i..j]` that overlap the open interval `(u, v)`.
+    fn within(&self, i: usize, j: usize, u: f64, v: f64) -> (usize, usize) {
+        let run = &self.sigma[i..j];
+        let a = run.partition_point(|p| p.x1 <= u);
+        (i + a, i + a + run[a..].partition_point(|p| p.x0 < v))
+    }
+
+    /// Lowest and highest ordinate of the run over `[u, v]`, whose
+    /// overlapping pieces are `sigma[a..b]` (`a < b`): the end pieces are
+    /// evaluated at the interval's edges, inner ones come from the tables.
+    fn range_over(&self, a: usize, b: usize, u: f64, v: f64) -> (f64, f64) {
+        let ends = |p: &Piece| {
+            let (z0, z1) = (p.eval(u), p.eval(v));
+            (z0.min(z1), z0.max(z1))
+        };
+        let (mut lo, mut hi) = ends(&self.sigma[a]);
+        let mut fold = |(l, h): (f64, f64)| {
+            lo = lo.min(l);
+            hi = hi.max(h);
+        };
+        if b - a > 1 {
+            fold(ends(&self.sigma[b - 1]));
+        }
+        if b - a > 2 {
+            fold(self.span(a + 1, b - 1));
+        }
+        (lo, hi)
+    }
+
+    /// Lowest `z_min` and highest `z_max` over `sigma[a..b]` (`a < b`).
+    fn span(&self, a: usize, b: usize) -> (f64, f64) {
+        match (b - a).ilog2() as usize {
+            0 => (self.sigma[a].z_min(), self.sigma[a].z_max()),
+            l => {
+                let (x, y) = (self.spans[l - 1][a], self.spans[l - 1][b - (1 << l)]);
+                (x.0.min(y.0), x.1.max(y.1))
+            }
+        }
+    }
+
+    /// True when `sigma[a..b]` covers `[u, v]` without a gap.
+    fn covers(&self, a: usize, b: usize, u: f64, v: f64) -> bool {
+        self.sigma[a].x0 <= u
+            && self.sigma[b - 1].x1 >= v
+            && (b - a == 1 || self.gaps[b - 1] == self.gaps[a])
+    }
+
+    /// Overlays `sigma[i..j]` — the run pieces overlapping the key window
+    /// `(lo, hi)` — onto `t`, whose pieces all lie in that window. Returns
+    /// the new subtree, or `None` when `t` comes out unchanged (always,
+    /// with `build` off).
+    fn descend(&mut self, t: &Tree, lo: f64, hi: f64, i: usize, j: usize) -> Option<Tree> {
+        if i == j {
+            return None;
+        }
+        let Some(n) = t.root() else {
+            return self.surface(lo, hi, i, j);
+        };
+        self.stats.visits += 1;
+        let agg = *n.agg();
+        let (a, b) = self.within(i, j, agg.x_min, agg.x_max);
+        let (run_lo, run_hi) = if a < b {
+            self.range_over(a, b, agg.x_min, agg.x_max)
         } else {
-            cur = n.left().root();
-        }
-    }
-    best
-}
+            (f64::INFINITY, f64::NEG_INFINITY)
+        };
 
-/// In-order pieces keyed in `[lo, hi)`.
-fn collect_range(t: &Tree, lo: TotalF64, hi: TotalF64, out: &mut Vec<Piece>) {
-    let Some(n) = t.root() else {
-        return;
-    };
-    let k = *n.key();
-    if lo < k {
-        collect_range(&n.left(), lo, hi, out);
-    }
-    if lo <= k && k < hi {
-        out.push(*n.value());
-    }
-    if k < hi {
-        collect_range(&n.right(), lo, hi, out);
-    }
-}
-
-/// Read-only mirror of [`overlay`] on the sorted run `pieces[lo..hi]`,
-/// whose canonical treap root is the (leftmost) maximum-priority index.
-/// Pushes the same `ins`/`cross` sequence and counts the same stats, but
-/// builds nothing.
-#[allow(clippy::too_many_arguments)]
-fn ghost_overlay(
-    pieces: &[Piece],
-    prios: &[u64],
-    lo: usize,
-    hi: usize,
-    s: Piece,
-    cross: &mut Vec<CrossEvent>,
-    ins: &mut Vec<Piece>,
-    stats: &mut MergeStats,
-) {
-    if s.width() <= 0.0 {
-        return;
-    }
-    stats.visits += 1;
-    if lo == hi {
-        ins.push(s);
-        return;
-    }
-    // The aggregate the real subtree would carry. Pieces are disjoint and
-    // sorted, so extent is the range's outer corners; min/max are exact
-    // and order-independent.
-    let (x_min, x_max) = (pieces[lo].x0, pieces[hi - 1].x1);
-    let mut z_min = f64::INFINITY;
-    let mut z_max = f64::NEG_INFINITY;
-    let mut covered = true;
-    for i in lo..hi {
-        let p = &pieces[i];
-        z_min = z_min.min(p.z_min());
-        z_max = z_max.max(p.z_max());
-        if i > lo && pieces[i - 1].x1 != p.x0 {
-            covered = false;
-        }
-    }
-    let s_lo = s.eval(x_min);
-    let s_hi = s.eval(x_max);
-    let (s_min, s_max) = (s_lo.min(s_hi), s_lo.max(s_hi));
-
-    if covered && z_min >= s_max {
-        stats.subtrees_shared += 1;
-        if let Some(lg) = s.clip(s.x0, x_min) {
-            ins.push(lg);
-        }
-        if let Some(rg) = s.clip(x_max, s.x1) {
-            ins.push(rg);
-        }
-        return;
-    }
-
-    if s_min > z_max {
-        stats.subtrees_dropped += 1;
-        stats.pieces_buried += (hi - lo) as u64;
-        ins.push(s);
-        return;
-    }
-
-    let mut root = lo;
-    for i in lo + 1..hi {
-        if prios[i] > prios[root] {
-            root = i;
-        }
-    }
-    let r = pieces[root];
-    if let Some(sl) = s.clip(s.x0, r.x0) {
-        ghost_overlay(pieces, prios, lo, root, sl, cross, ins, stats);
-    }
-    ghost_pair(r, s.clip(r.x0, r.x1), cross, ins, stats);
-    if let Some(sr) = s.clip(r.x1, s.x1) {
-        ghost_overlay(pieces, prios, root + 1, hi, sr, cross, ins, stats);
-    }
-}
-
-/// Read-only mirror of [`piece_pair`]: same `ins`/`cross` pushes, no tree.
-fn ghost_pair(
-    r: Piece,
-    s_m: Option<Piece>,
-    cross: &mut Vec<CrossEvent>,
-    ins: &mut Vec<Piece>,
-    stats: &mut MergeStats,
-) {
-    let Some(s) = s_m else {
-        return;
-    };
-    stats.pairs += 1;
-    let (u, v) = (s.x0, s.x1);
-    match relate(&r, &s, u, v) {
-        Relation::AAbove => {}
-        Relation::BAbove => {
-            if r.clip(r.x0, u).is_none() {
-                stats.pieces_buried += 1;
+        // Prune 1: the run stays under a gap-free subtree over its whole
+        // extent (or misses the extent) — keep the subtree shared and
+        // surface the run only in the flanking gaps.
+        if a == b || (agg.covered && agg.z_min >= run_hi) {
+            self.stats.subtrees_shared += u64::from(a < b);
+            let (_, lj) = self.within(i, j, lo, agg.x_min);
+            let l = self.surface(lo, agg.x_min, i, lj);
+            let (ri, _) = self.within(i, j, agg.x_max, hi);
+            let r = self.surface(agg.x_max, hi, ri, j);
+            if l.is_none() && r.is_none() {
+                return None;
             }
-            ins.push(s);
-        }
-        Relation::CrossAtoB { x, z } => {
-            cross.push(CrossEvent { x, z, upper_left: r.edge, upper_right: s.edge });
-            if let Some(sv) = s.clip(x, v) {
-                ins.push(sv);
+            let mut out = t.clone();
+            if let Some(l) = l {
+                out = l.join_with(&out);
             }
-        }
-        Relation::CrossBtoA { x, z } => {
-            cross.push(CrossEvent { x, z, upper_left: s.edge, upper_right: r.edge });
-            if let Some(su) = s.clip(u, x) {
-                ins.push(su);
+            if let Some(r) = r {
+                out = out.join_with(&r);
             }
+            return Some(out);
         }
-    }
-}
 
-/// Fan-out over the sigma range `[lo, hi)` with treap splitting; parallel
-/// above a cutoff.
-fn rec(
-    t: Tree,
-    sigma: &[Piece],
-    lo: usize,
-    hi: usize,
-) -> (Tree, Vec<CrossEvent>, Vec<Piece>, MergeStats) {
-    match hi - lo {
-        0 => (t, Vec::new(), Vec::new(), MergeStats::default()),
-        1 => {
-            let mut stats = MergeStats::default();
-            let mut cross = Vec::new();
-            let mut ins = Vec::new();
-            let t = merge_piece(t, sigma[lo], &mut cross, &mut ins, &mut stats);
-            (t, cross, ins, stats)
+        // Prune 2: the run buries the whole subtree — replace it by the run.
+        if self.covers(a, b, agg.x_min, agg.x_max) && run_lo > agg.z_max {
+            self.stats.subtrees_dropped += 1;
+            self.stats.pieces_buried += n.size() as u64;
+            return self.surface(lo, hi, i, j);
         }
-        n => {
-            let mid = lo + n / 2;
-            let xs = sigma[mid].x0;
-            let (pe_l, pe_r) = PEnvelope { t }.split_clip(xs);
-            let ((tl, mut cl, mut il, mut sl), (tr, cr, ir, sr)) = if n >= 64 {
-                // Collector-propagating join (merge work and treap copies
-                // on the stolen branch must charge this evaluation).
-                hsr_pram::join(|| rec(pe_l.t, sigma, lo, mid), || rec(pe_r.t, sigma, mid, hi))
-            } else {
-                (rec(pe_l.t, sigma, lo, mid), rec(pe_r.t, sigma, mid, hi))
+
+        // Descend around the root piece.
+        let r = *n.value();
+        let (li, lj) = self.within(i, j, lo, r.x0);
+        let left = self.descend(&n.left(), lo, r.x0, li, lj);
+        let (mi, mj) = self.within(i, j, r.x0, r.x1);
+        let mid = self.pair(r, mi, mj);
+        let (ri, rj) = self.within(i, j, r.x1, hi);
+        let right = self.descend(&n.right(), r.x1, hi, ri, rj);
+        if left.is_none() && mid.is_none() && right.is_none() {
+            return None;
+        }
+        let l = left.unwrap_or_else(|| n.left());
+        let rt = right.unwrap_or_else(|| n.right());
+        // The first replacement piece starts at `r.x0` and takes `r`'s
+        // place; the rest join in front of the right subtree.
+        Some(match mid.as_deref().and_then(<[Piece]>::split_first) {
+            None => Tree::join3(&l, *n.key(), r, &rt),
+            Some((first, rest)) => {
+                let rt = rest
+                    .iter()
+                    .rev()
+                    .fold(rt, |rt, p| Tree::join3(&Tree::new(), TotalF64(p.x0), *p, &rt));
+                Tree::join3(&l, TotalF64(first.x0), *first, &rt)
+            }
+        })
+    }
+
+    /// Resolves prefix piece `r` against the run pieces `sigma[a..b]` that
+    /// overlap it (two linear pieces cross at most once). Returns the
+    /// pieces replacing `r`, or `None` when `r` stays on top throughout —
+    /// it is then kept whole, however many run pieces it hides.
+    fn pair(&mut self, r: Piece, a: usize, b: usize) -> Option<Vec<Piece>> {
+        let (mut out, mut from) = (Vec::new(), r.x0);
+        let (mut surfaced, mut kept) = (false, false);
+        for s in &self.sigma[a..b] {
+            let (u, v) = (r.x0.max(s.x0), r.x1.min(s.x1));
+            self.stats.pairs += 1;
+            let (su, sv) = match relate(&r, s, u, v) {
+                Relation::AAbove => continue,
+                Relation::BAbove => (u, v),
+                Relation::CrossAtoB { x, z } => {
+                    self.cross
+                        .push(CrossEvent { x, z, upper_left: r.edge, upper_right: s.edge });
+                    (x, v)
+                }
+                Relation::CrossBtoA { x, z } => {
+                    self.cross
+                        .push(CrossEvent { x, z, upper_left: s.edge, upper_right: r.edge });
+                    (u, x)
+                }
             };
-            cl.extend(cr);
-            il.extend(ir);
-            sl.absorb(&sr);
-            (tl.join_with(&tr), cl, il, sl)
+            let Some(up) = s.clip(su, sv) else {
+                continue;
+            };
+            let before = r.clip(from, su);
+            surfaced = true;
+            kept |= before.is_some();
+            self.ins.push(up);
+            if self.build {
+                out.extend(before);
+                out.push(up);
+            }
+            from = sv;
         }
-    }
-}
-
-/// Merges a single piece `s` into the profile: clip out the affected range,
-/// overlay, and rejoin.
-fn merge_piece(
-    t: Tree,
-    s: Piece,
-    cross: &mut Vec<CrossEvent>,
-    ins: &mut Vec<Piece>,
-    stats: &mut MergeStats,
-) -> Tree {
-    // The fan-out in `rec` has usually already clipped the treap to s's
-    // span, making one or both flanking splits no-ops that would still
-    // path-copy the whole spine. The subtree aggregate detects that in
-    // O(1); skipping the split leaves the same (key, priority) content,
-    // so the canonical treap shape — and every verdict — is unchanged.
-    let (x_min, x_max) = match t.root() {
-        Some(r) => (r.agg().x_min, r.agg().x_max),
-        None => return overlay(t, s, cross, ins, stats),
-    };
-    let pe = PEnvelope { t };
-    let (before, rest) = if x_min >= s.x0 {
-        (PEnvelope::new(), pe)
-    } else {
-        pe.split_clip(s.x0)
-    };
-    let (mid, after) = if x_max <= s.x1 {
-        (rest, PEnvelope::new())
-    } else {
-        rest.split_clip(s.x1)
-    };
-    let mid = overlay(mid.t, s, cross, ins, stats);
-    before.t.join_with(&mid).join_with(&after.t)
-}
-
-/// Overlays piece `s` onto a treap whose pieces all lie within
-/// `[s.x0, s.x1]`.
-fn overlay(
-    t: Tree,
-    s: Piece,
-    cross: &mut Vec<CrossEvent>,
-    ins: &mut Vec<Piece>,
-    stats: &mut MergeStats,
-) -> Tree {
-    if s.width() <= 0.0 {
-        return t;
-    }
-    stats.visits += 1;
-    let Some(root) = t.root() else {
-        ins.push(s);
-        return Tree::singleton(TotalF64(s.x0), s);
-    };
-    let agg = *root.agg();
-    let s_lo = s.eval(agg.x_min);
-    let s_hi = s.eval(agg.x_max);
-    let (s_min, s_max) = (s_lo.min(s_hi), s_lo.max(s_hi));
-
-    // Prune 1: the profile dominates s over its whole (gap-free) extent —
-    // keep the entire subtree shared, surface s only in the flanking gaps.
-    if agg.covered && agg.z_min >= s_max {
-        stats.subtrees_shared += 1;
-        let mut out = t;
-        if let Some(lg) = s.clip(s.x0, agg.x_min) {
-            ins.push(lg);
-            out = Tree::singleton(TotalF64(lg.x0), lg).join_with(&out);
+        if !surfaced {
+            return None;
         }
-        if let Some(rg) = s.clip(agg.x_max, s.x1) {
-            ins.push(rg);
-            out = out.join_with(&Tree::singleton(TotalF64(rg.x0), rg));
-        }
-        return out;
+        let tail = r.clip(from, r.x1);
+        self.stats.pieces_buried += u64::from(!kept && tail.is_none());
+        out.extend(tail);
+        self.build.then_some(out)
     }
 
-    // Prune 2: s dominates the whole subtree — drop it and keep one piece.
-    if s_min > agg.z_max {
-        stats.subtrees_dropped += 1;
-        stats.pieces_buried += t.len() as u64;
-        ins.push(s);
-        return Tree::singleton(TotalF64(s.x0), s);
+    /// Surfaces the run pieces `sigma[a..b]` over `[u, v]`, where the
+    /// prefix has nothing; builds them into a subtree when building.
+    fn surface(&mut self, u: f64, v: f64, a: usize, b: usize) -> Option<Tree> {
+        let start = self.ins.len();
+        self.ins
+            .extend(self.sigma[a..b].iter().filter_map(|s| s.clip(u, v)));
+        let new = &self.ins[start..];
+        (self.build && !new.is_empty())
+            .then(|| Tree::from_sorted(new.iter().map(|p| (TotalF64(p.x0), *p)).collect()))
     }
-
-    // Descend around the root piece.
-    let r = *root.value();
-    let lt = match s.clip(s.x0, r.x0) {
-        Some(sl) => overlay(root.left(), sl, cross, ins, stats),
-        None => root.left(),
-    };
-    let mid = piece_pair(r, s.clip(r.x0, r.x1), cross, ins, stats);
-    let rt = match s.clip(r.x1, s.x1) {
-        Some(sr) => overlay(root.right(), sr, cross, ins, stats),
-        None => root.right(),
-    };
-    lt.join_with(&mid).join_with(&rt)
-}
-
-/// Resolves one profile piece `r` against the overlapping part of `s`
-/// (`s_m ⊆ [r.x0, r.x1]`). Two linear pieces cross at most once.
-fn piece_pair(
-    r: Piece,
-    s_m: Option<Piece>,
-    cross: &mut Vec<CrossEvent>,
-    ins: &mut Vec<Piece>,
-    stats: &mut MergeStats,
-) -> Tree {
-    let Some(s) = s_m else {
-        return Tree::singleton(TotalF64(r.x0), r);
-    };
-    stats.pairs += 1;
-    let (u, v) = (s.x0, s.x1);
-    match relate(&r, &s, u, v) {
-        Relation::AAbove => Tree::singleton(TotalF64(r.x0), r),
-        Relation::BAbove => {
-            let mut pieces: Vec<Piece> = Vec::with_capacity(3);
-            if let Some(pre) = r.clip(r.x0, u) {
-                pieces.push(pre);
-            } else {
-                stats.pieces_buried += 1;
-            }
-            ins.push(s);
-            pieces.push(s);
-            if let Some(post) = r.clip(v, r.x1) {
-                pieces.push(post);
-            }
-            from_pieces(pieces)
-        }
-        Relation::CrossAtoB { x, z } => {
-            // r on top on [u, x], s on [x, v].
-            cross.push(CrossEvent { x, z, upper_left: r.edge, upper_right: s.edge });
-            let mut pieces: Vec<Piece> = Vec::with_capacity(3);
-            if let Some(rl) = r.clip(r.x0, x) {
-                pieces.push(rl);
-            }
-            if let Some(sv) = s.clip(x, v) {
-                ins.push(sv);
-                pieces.push(sv);
-            }
-            if let Some(post) = r.clip(v, r.x1) {
-                pieces.push(post);
-            }
-            from_pieces(pieces)
-        }
-        Relation::CrossBtoA { x, z } => {
-            // s on top on [u, x], r on [x, v] (and beyond).
-            cross.push(CrossEvent { x, z, upper_left: s.edge, upper_right: r.edge });
-            let mut pieces: Vec<Piece> = Vec::with_capacity(3);
-            if let Some(pre) = r.clip(r.x0, u) {
-                pieces.push(pre);
-            }
-            if let Some(su) = s.clip(u, x) {
-                ins.push(su);
-                pieces.push(su);
-            }
-            if let Some(rr) = r.clip(x, r.x1) {
-                pieces.push(rr);
-            }
-            from_pieces(pieces)
-        }
-    }
-}
-
-fn from_pieces(pieces: Vec<Piece>) -> Tree {
-    Tree::from_sorted(
-        pieces
-            .into_iter()
-            .filter(|p| p.width() > 0.0)
-            .map(|p| (TotalF64(p.x0), p))
-            .collect(),
-    )
 }
 
 #[cfg(test)]
@@ -647,6 +470,17 @@ mod tests {
                 piece(x0, next() * 20.0, x0 + w, next() * 20.0, e)
             })
             .collect()
+    }
+
+    fn preorder(t: &Tree) -> Vec<u64> {
+        let mut keys = Vec::new();
+        let mut stack: Vec<_> = t.root().into_iter().collect();
+        while let Some(n) = stack.pop() {
+            keys.push(n.key().0.to_bits());
+            stack.extend(n.right().root());
+            stack.extend(n.left().root());
+        }
+        keys
     }
 
     fn envelopes_agree(a: &Envelope, b: &Envelope) {
@@ -677,33 +511,6 @@ mod tests {
     }
 
     #[test]
-    fn split_clip_partitions_exactly() {
-        let base = Envelope::from_pieces(&pseudo_pieces(30, 3));
-        let pe = PEnvelope::from_envelope(&base);
-        for x in [10.0, 33.3, 50.0, 77.7] {
-            let (l, r) = pe.split_clip(x);
-            if let Some((_, p)) = l.treap().last() {
-                assert!(p.x1 <= x);
-            }
-            if let Some((_, p)) = r.treap().first() {
-                assert!(p.x0 >= x);
-            }
-            // Values preserved on both sides (clipped pieces re-interpolate,
-            // so compare with a tolerance rather than bitwise).
-            for (got, want) in [
-                (l.eval(x - 1.0), pe.eval(x - 1.0)),
-                (r.eval(x + 1.0), pe.eval(x + 1.0)),
-            ] {
-                match (got, want) {
-                    (None, None) => {}
-                    (Some(a), Some(b)) => assert!((a - b).abs() < 1e-9, "{a} vs {b}"),
-                    _ => panic!("gap mismatch: {got:?} vs {want:?}"),
-                }
-            }
-        }
-    }
-
-    #[test]
     fn merge_matches_static_merge() {
         for seed in [1u64, 2, 3, 4, 5] {
             let pa = pseudo_pieces(50, seed);
@@ -723,6 +530,9 @@ mod tests {
             envelopes_agree(&got.env.to_envelope(), &expect);
             // Persistence: the original is untouched.
             envelopes_agree(&pe.to_envelope(), &ea);
+            // The merged treap has the canonical shape of its key set.
+            let rebuilt = Tree::from_sorted(got.env.treap().to_vec());
+            assert_eq!(preorder(got.env.treap()), preorder(&rebuilt), "seed {seed}");
         }
     }
 
@@ -777,7 +587,7 @@ mod tests {
             let pe = PEnvelope::from_envelope(&base);
             for s in pseudo_pieces(40, seed + 900) {
                 let s = Piece { edge: s.edge + 10_000, ..s };
-                let a = pe.merge_one(s);
+                let a = pe.merge(&[s]);
                 let b = pe.classify_one(s);
                 assert_eq!(a.inserted.len(), b.inserted.len(), "seed {seed} piece {s:?}");
                 for (x, y) in a.inserted.iter().zip(&b.inserted) {
@@ -800,6 +610,24 @@ mod tests {
                 assert_eq!(a.stats.pieces_buried, b.stats.pieces_buried);
             }
         }
+    }
+
+    #[test]
+    fn run_under_gap_free_prefix_copies_nothing() {
+        // A gap-free prefix high above a run that lies wholly under it,
+        // straddling many prefix pieces: no piece is cut, no node copied.
+        let z = |i: u32| 100.0 + (i % 5) as f64;
+        let high = (0..64).map(|i| piece(i as f64, z(i), (i + 1) as f64, z(i + 1), i));
+        let pe = PEnvelope::from_envelope(&Envelope::from_sorted_pieces(high.collect()));
+        let sigma: Vec<Piece> = (0..20)
+            .map(|i| piece(3.0 * i as f64 + 0.5, 1.0, 3.0 * i as f64 + 2.7, 2.0, 500 + i))
+            .collect();
+        let (out, cost) = hsr_pram::CostCollector::measure(|| pe.merge(&sigma));
+        assert!(out.crossings.is_empty() && out.inserted.is_empty());
+        assert_eq!(out.stats.subtrees_shared, 1);
+        let (a, b) = (pe.treap().root().unwrap(), out.env.treap().root().unwrap());
+        assert_eq!(a.ptr_id(), b.ptr_id(), "the prefix root must come back shared");
+        assert_eq!(cost.work_of(hsr_pram::cost::Category::TreapOps), 0);
     }
 
     #[test]

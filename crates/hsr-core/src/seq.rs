@@ -52,8 +52,10 @@ fn eval(profile: &ArenaTreap<TotalF64, Piece>, x: f64) -> Option<f64> {
 }
 
 /// Splices piece `s` into the profile; returns the surfaced (visible)
-/// sub-pieces of `s` and the crossings found.
-fn insert_edge(
+/// sub-pieces of `s` and the crossings found. Touching fragments of one
+/// edge coalesce, so the profile stays as small as the envelope itself
+/// (the viewshed sweep splices through here too).
+pub(crate) fn insert_edge(
     profile: &mut ArenaTreap<TotalF64, Piece>,
     s: Piece,
 ) -> (Vec<Piece>, Vec<CrossEvent>) {

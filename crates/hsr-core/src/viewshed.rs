@@ -18,7 +18,8 @@
 //! rank computation — *not* `Q` ray marches.
 
 use crate::edges::SceneEdge;
-use crate::envelope::Piece;
+use crate::envelope::{relate, EnvelopeBuilder, Piece, Relation};
+use crate::seq::insert_edge;
 use hsr_geometry::{Point3, TotalF64};
 use hsr_pstruct::ArenaTreap;
 use hsr_terrain::Tin;
@@ -41,9 +42,11 @@ pub enum Verdict {
 ///
 /// Data-oriented: the `O(Q·n)` rank scan runs over flat per-edge
 /// coefficient columns (no vertex-index chasing per query), and the
-/// profile sweep splices an [`ArenaTreap`] in place. Both changes are
-/// layout-only — every coefficient is computed by the same subtractions
-/// as [`classify_points_legacy`], so verdicts are bit-identical.
+/// profile sweep splices an [`ArenaTreap`] in place through the
+/// sequential algorithm's own edge insertion, which coalesces touching
+/// fragments of one edge. Both changes are layout-only — every
+/// coefficient and piece is computed by the same arithmetic as
+/// [`classify_points_legacy`], so verdicts are bit-identical.
 pub fn classify_points(
     tin: &Tin,
     edges: &[SceneEdge],
@@ -115,7 +118,7 @@ pub fn classify_points(
     }
     for (pos, &e) in order.iter().enumerate() {
         if let Some(piece) = edges[e as usize].piece() {
-            splice(&mut profile, piece);
+            insert_edge(&mut profile, piece);
         }
         if let Some(qs) = insertions.get(&(pos + 1)) {
             for &qi in qs {
@@ -191,73 +194,10 @@ pub fn classify_points_legacy(
     verdicts
 }
 
-/// Minimal envelope splice (pointwise max) used by the sweep; mirrors the
-/// sequential algorithm's update but without visibility bookkeeping.
-fn splice(profile: &mut ArenaTreap<TotalF64, Piece>, s: Piece) {
-    use crate::envelope::{relate, Relation};
-    let mut affected: Vec<Piece> = Vec::new();
-    if let Some((_, p)) = profile.floor_strict(&TotalF64(s.x0)) {
-        if p.x1 > s.x0 {
-            affected.push(*p);
-        }
-    }
-    profile.for_range(&TotalF64(s.x0), &TotalF64(s.x1), &mut |_, p| affected.push(*p));
-
-    let mut out: Vec<Piece> = Vec::with_capacity(affected.len() + 2);
-    let mut push = |p: Option<Piece>| {
-        if let Some(p) = p {
-            if p.width() > 0.0 {
-                out.push(p);
-            }
-        }
-    };
-    let mut x = s.x0;
-    for p in &affected {
-        if p.x0 < s.x0 {
-            push(p.clip(p.x0, s.x0));
-        }
-        if p.x0 > x {
-            push(s.clip(x, p.x0));
-            x = p.x0;
-        }
-        let v = p.x1.min(s.x1);
-        if v > x {
-            match relate(p, &s, x, v) {
-                Relation::AAbove => push(p.clip(x, v)),
-                Relation::BAbove => push(s.clip(x, v)),
-                Relation::CrossAtoB { x: cx, .. } => {
-                    push(p.clip(x, cx));
-                    push(s.clip(cx, v));
-                }
-                Relation::CrossBtoA { x: cx, .. } => {
-                    push(s.clip(x, cx));
-                    push(p.clip(cx, v));
-                }
-            }
-            x = v;
-        }
-        if p.x1 > s.x1 {
-            push(p.clip(s.x1, p.x1));
-        }
-    }
-    if x < s.x1 {
-        push(s.clip(x, s.x1));
-    }
-    profile.remove_range(&TotalF64(s.x0), &TotalF64(s.x1));
-    if let Some(p) = affected.first() {
-        if p.x0 < s.x0 {
-            profile.remove(&TotalF64(p.x0));
-        }
-    }
-    for p in out {
-        profile.insert(TotalF64(p.x0), p);
-    }
-}
-
 /// The `BTreeMap` splice used by [`classify_points_legacy`]; identical
-/// piece arithmetic to [`splice`], differing only in the container.
+/// piece arithmetic to the sequential sweep's `insert_edge` (touching
+/// fragments of one edge coalesce), differing only in the container.
 fn splice_legacy(profile: &mut BTreeMap<TotalF64, Piece>, s: Piece) {
-    use crate::envelope::{relate, Relation};
     let mut affected: Vec<Piece> = Vec::new();
     if let Some((_, p)) = profile.range(..TotalF64(s.x0)).next_back() {
         if p.x1 > s.x0 {
@@ -270,50 +210,43 @@ fn splice_legacy(profile: &mut BTreeMap<TotalF64, Piece>, s: Piece) {
             .map(|(_, p)| *p),
     );
 
-    let mut out: Vec<Piece> = Vec::with_capacity(affected.len() + 2);
-    let mut push = |p: Option<Piece>| {
-        if let Some(p) = p {
-            if p.width() > 0.0 {
-                out.push(p);
-            }
-        }
-    };
+    let mut out = EnvelopeBuilder::with_capacity(affected.len() + 2);
     let mut x = s.x0;
     for p in &affected {
         if p.x0 < s.x0 {
-            push(p.clip(p.x0, s.x0));
+            out.push_clip(p, p.x0, s.x0);
         }
         if p.x0 > x {
-            push(s.clip(x, p.x0));
+            out.push_clip(&s, x, p.x0);
             x = p.x0;
         }
         let v = p.x1.min(s.x1);
         if v > x {
             match relate(p, &s, x, v) {
-                Relation::AAbove => push(p.clip(x, v)),
-                Relation::BAbove => push(s.clip(x, v)),
+                Relation::AAbove => out.push_clip(p, x, v),
+                Relation::BAbove => out.push_clip(&s, x, v),
                 Relation::CrossAtoB { x: cx, .. } => {
-                    push(p.clip(x, cx));
-                    push(s.clip(cx, v));
+                    out.push_clip(p, x, cx);
+                    out.push_clip(&s, cx, v);
                 }
                 Relation::CrossBtoA { x: cx, .. } => {
-                    push(s.clip(x, cx));
-                    push(p.clip(cx, v));
+                    out.push_clip(&s, x, cx);
+                    out.push_clip(p, cx, v);
                 }
             }
             x = v;
         }
         if p.x1 > s.x1 {
-            push(p.clip(s.x1, p.x1));
+            out.push_clip(p, s.x1, p.x1);
         }
     }
     if x < s.x1 {
-        push(s.clip(x, s.x1));
+        out.push_clip(&s, x, s.x1);
     }
     for p in &affected {
         profile.remove(&TotalF64(p.x0));
     }
-    for p in out {
+    for p in out.finish() {
         profile.insert(TotalF64(p.x0), p);
     }
 }

@@ -7,8 +7,9 @@
 //!
 //! * [`ptreap::PTreap`] — a persistent treap with deterministic priorities
 //!   (canonical shape for a given key set), O(log n) expected
-//!   insert/remove/split/join by path copying, and user-defined **subtree
-//!   aggregates** used by the pruned envelope merge in `hsr-core`. Every
+//!   insert/remove/split/join (also around a new middle entry, `join3`) by
+//!   path copying, and user-defined **subtree aggregates** used by the
+//!   pruned envelope merge in `hsr-core`. Every
 //!   path-copied node charges `Category::TreapOps` in the `hsr-pram` cost
 //!   model (a no-op unless the caller installed a `CostCollector`).
 //! * [`arena::ArenaTreap`] — the mutable, arena-backed sibling for

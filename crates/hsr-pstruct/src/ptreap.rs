@@ -69,13 +69,16 @@ struct Node<K, V, A> {
 
 type Link<K, V, A> = Option<Arc<Node<K, V, A>>>;
 
+/// A right-spine entry of [`PTreap::from_sorted`]: key, value, priority
+/// and finished left subtree, still waiting for its right child.
+type SpineEntry<K, V, A> = (K, V, u64, Link<K, V, A>);
+
 /// Deterministic FNV-1a based priority with a splitmix64 finaliser.
 ///
 /// Shared with the arena representation ([`crate::arena::ArenaTreap`]) so
 /// both treaps give the *same key set the same canonical shape*. Public so
-/// read-only mirrors of treap recursions (e.g. the allocation-free leaf
-/// classification in `hsr-core`) can reproduce that canonical shape from a
-/// sorted key run without building nodes.
+/// callers can check that shape (the heap order over a key set) from
+/// outside the crate.
 pub fn det_prio<K: Hash>(key: &K) -> u64 {
     struct Fnv1a(u64);
     impl Hasher for Fnv1a {
@@ -228,103 +231,31 @@ where
 
     /// Builds a treap from strictly increasing `(key, value)` pairs in
     /// `O(n)` using the right-spine construction.
+    ///
+    /// The stack holds the right spine of the tree built so far, each
+    /// entry still waiting for its right child. An item pops every
+    /// lower-priority entry; the popped chain, finished bottom-up, is its
+    /// left subtree. Every node is built exactly once, in one pass, with
+    /// no slot table and no recursion.
     pub fn from_sorted(items: Vec<(K, V)>) -> Self {
-        struct B<K, V> {
-            k: K,
-            v: V,
-            prio: u64,
-            left: Option<usize>,
-            right: Option<usize>,
-        }
-        // Tiny inputs (the per-pair rebuilds in hsr-core's persistent
-        // merge) skip the spine machinery: repeated insert produces the
-        // same canonical shape with a handful of node allocations.
-        if items.len() <= 3 {
-            return items
-                .into_iter()
-                .fold(Self::new(), |t, (k, v)| t.insert(k, v));
-        }
-        debug_assert!(
-            items.windows(2).all(|w| w[0].0 < w[1].0),
-            "keys must be strictly increasing"
-        );
-        let mut nodes: Vec<B<K, V>> = items
-            .into_iter()
-            .map(|(k, v)| {
-                let prio = det_prio(&k);
-                B { k, v, prio, left: None, right: None }
-            })
-            .collect();
-        let mut spine: Vec<usize> = Vec::new();
-        for i in 0..nodes.len() {
-            let mut last_popped = None;
-            while let Some(&top) = spine.last() {
-                if nodes[top].prio < nodes[i].prio {
-                    last_popped = spine.pop();
-                } else {
-                    break;
-                }
+        let mut spine: Vec<SpineEntry<K, V, A>> = Vec::new();
+        for (key, value) in items {
+            debug_assert!(
+                spine.last().is_none_or(|top| top.0 < key),
+                "keys must be strictly increasing"
+            );
+            let prio = det_prio(&key);
+            let mut left = None;
+            while let Some((k, v, p, l)) = spine.pop_if(|top| top.2 < prio) {
+                left = Some(mk_node_prio(k, v, p, l, left));
             }
-            nodes[i].left = last_popped;
-            if let Some(&parent) = spine.last() {
-                nodes[parent].right = Some(i);
-            }
-            spine.push(i);
+            spine.push((key, value, prio, left));
         }
-        let root_idx = spine[0];
-
-        // Freeze into Arc nodes bottom-up with an explicit stack (avoids
-        // deep recursion on adversarial priority sequences).
-        fn freeze<K, V, A>(nodes: &mut [Option<FrozenSlot<K, V>>], idx: usize) -> Arc<Node<K, V, A>>
-        where
-            K: Clone + Ord + Hash + Send + Sync,
-            V: Clone + Send + Sync,
-            A: Aggregate<K, V>,
-        {
-            enum Phase {
-                Descend(usize),
-                Build(usize),
-            }
-            let mut stack = vec![Phase::Descend(idx)];
-            let mut built: std::collections::HashMap<usize, Arc<Node<K, V, A>>> =
-                std::collections::HashMap::new();
-            while let Some(phase) = stack.pop() {
-                match phase {
-                    Phase::Descend(i) => {
-                        let slot = nodes[i].as_ref().expect("slot present");
-                        let (l, r) = (slot.left, slot.right);
-                        stack.push(Phase::Build(i));
-                        if let Some(l) = l {
-                            stack.push(Phase::Descend(l));
-                        }
-                        if let Some(r) = r {
-                            stack.push(Phase::Descend(r));
-                        }
-                    }
-                    Phase::Build(i) => {
-                        let slot = nodes[i].take().expect("slot present");
-                        let left = slot.left.map(|l| built.remove(&l).expect("left built"));
-                        let right = slot.right.map(|r| built.remove(&r).expect("right built"));
-                        built.insert(i, mk_node_prio(slot.k, slot.v, slot.prio, left, right));
-                    }
-                }
-            }
-            built.remove(&idx).expect("root built")
+        let mut root = None;
+        while let Some((k, v, p, l)) = spine.pop() {
+            root = Some(mk_node_prio(k, v, p, l, root));
         }
-        struct FrozenSlot<K, V> {
-            k: K,
-            v: V,
-            prio: u64,
-            left: Option<usize>,
-            right: Option<usize>,
-        }
-        let mut slots: Vec<Option<FrozenSlot<K, V>>> = nodes
-            .drain(..)
-            .map(|b| {
-                Some(FrozenSlot { k: b.k, v: b.v, prio: b.prio, left: b.left, right: b.right })
-            })
-            .collect();
-        PTreap { root: Some(freeze::<K, V, A>(&mut slots, root_idx)) }
+        PTreap { root }
     }
 
     /// Looks up a key.
@@ -420,6 +351,16 @@ where
             _ => true,
         });
         PTreap { root: join(&self.root, &other.root) }
+    }
+
+    /// Joins `left`, the entry `(key, value)` and `right`, whose keys must
+    /// be ordered `left < key < right`. When the entry's priority
+    /// dominates both roots this is one new node; otherwise the
+    /// higher-priority side's inner spine is path-copied down to where
+    /// the entry fits, keeping the canonical shape.
+    pub fn join3(left: &Self, key: K, value: V, right: &Self) -> Self {
+        let prio = det_prio(&key);
+        PTreap { root: Some(join3(&left.root, key, value, prio, &right.root)) }
     }
 
     /// In-order iterator over entries.
@@ -616,6 +557,38 @@ where
     }
 }
 
+fn join3<K, V, A>(
+    l: &Link<K, V, A>,
+    key: K,
+    value: V,
+    prio: u64,
+    r: &Link<K, V, A>,
+) -> Arc<Node<K, V, A>>
+where
+    K: Clone + Ord + Hash + Send + Sync,
+    V: Clone + Send + Sync,
+    A: Aggregate<K, V>,
+{
+    let (lp, rp) = (l.as_ref().map_or(0, |n| n.prio), r.as_ref().map_or(0, |n| n.prio));
+    match (l, r) {
+        (Some(ln), _) if lp > prio && lp >= rp => mk_node_prio(
+            ln.key.clone(),
+            ln.value.clone(),
+            ln.prio,
+            ln.left.clone(),
+            Some(join3(&ln.right, key, value, prio, r)),
+        ),
+        (_, Some(rn)) if rp > prio => mk_node_prio(
+            rn.key.clone(),
+            rn.value.clone(),
+            rn.prio,
+            Some(join3(l, key, value, prio, &rn.left)),
+            rn.right.clone(),
+        ),
+        _ => mk_node_prio(key, value, prio, l.clone(), r.clone()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -692,6 +665,29 @@ mod tests {
         assert_eq!(r.len(), 24);
         let j = l.join_with(&r);
         assert_eq!(j.to_vec(), t.to_vec());
+    }
+
+    #[test]
+    fn join3_matches_canonical_shape() {
+        fn preorder(t: &T, out: &mut Vec<u64>) {
+            if let Some(n) = t.root() {
+                out.push(*n.key());
+                preorder(&n.left(), out);
+                preorder(&n.right(), out);
+            }
+        }
+        let t = T::from_sorted((0..300).map(|i| (i * 2, i)).collect());
+        let mut want = Vec::new();
+        preorder(&t, &mut want);
+        for k in [0u64, 2, 37 * 2, 150 * 2, 299 * 2] {
+            let (l, r) = t.split_at(&k, false);
+            let r = r.remove(&k);
+            let j = T::join3(&l, k, k / 2, &r);
+            let mut got = Vec::new();
+            preorder(&j, &mut got);
+            assert_eq!(got, want, "joining around key {k}");
+            assert_eq!(j.agg().unwrap().0, 300);
+        }
     }
 
     #[test]
