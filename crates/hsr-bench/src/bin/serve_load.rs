@@ -4,8 +4,8 @@
 //! backends (monolithic TIN and out-of-core tile pyramid), then drives
 //! it with concurrent client threads under three traffic shapes:
 //!
-//! * `mono-pingpong` — strict request/response per client (no batches
-//!   for the dispatcher to form: the coalescing *floor*),
+//! * `mono-pingpong` — strict request/response per client (nothing
+//!   queues up for a worker to coalesce: the coalescing *floor*),
 //! * `mono-pipelined` — each client pipelines bursts of compatible
 //!   requests (the coalescing *ceiling*),
 //! * `tiled-viewshed` — viewshed bursts against the tiled backend
@@ -491,16 +491,27 @@ fn main() {
     )
     .expect("pyramid build");
 
+    let (shards, workers) = (2, 3);
+    let threads_before_server = process_threads();
     let server = ServerBuilder::new()
         .terrain("t", TerrainSource::Grid(grid.clone()))
         .terrain("t-tiled", TerrainSource::TiledStore { dir: dir.clone(), config: tiled_cfg })
         .catalog_dir(&cat_dir)
         .expect("catalog dir")
         .observe(RecorderConfig::default())
-        .workers(3)
+        .shards(shards)
+        .workers(workers)
         .queue_depth(256)
         .bind("127.0.0.1:0")
         .expect("bind");
+    if threads_before_server > 0 {
+        // The service is its shards, its workers and one acceptor.
+        assert_eq!(
+            process_threads() - threads_before_server,
+            shards + workers + 1,
+            "a bound server runs shards + workers + 1 threads"
+        );
+    }
     println!("## serve_load — {clients} clients × {rounds} rounds on {}", server.local_addr());
 
     // One persistent admin connection reads every server counter over
@@ -701,8 +712,8 @@ fn main() {
         assert_eq!(r.errors, 0, "{}: unexpected request errors", r.scenario);
         assert_eq!(r.server.rejected, 0, "{}: queue depth 256 must absorb this load", r.scenario);
     }
-    // Pipelining compatible requests must actually coalesce: fewer
-    // dispatch groups than requests.
+    // Pipelining compatible requests must actually coalesce: workers
+    // take fewer groups than requests.
     let pipelined = &reports[1];
     assert!(
         pipelined.server.batches < pipelined.server.admitted,

@@ -37,8 +37,8 @@ impl Config {
     pub fn workspace() -> Self {
         Config {
             panic_paths: vec![
-                // The serving request path: a panic here kills a shard,
-                // worker, or dispatcher thread under live traffic.
+                // The serving request path: a panic here kills a shard
+                // or worker thread under live traffic.
                 "crates/hsr-serve/src/server.rs".into(),
                 "crates/hsr-serve/src/event_loop.rs".into(),
                 "crates/hsr-serve/src/protocol.rs".into(),

@@ -4,8 +4,8 @@
 //! `panic!`, `unreachable!`, `todo!`, `unimplemented!` outside
 //! `#[cfg(test)]` is a finding unless the site carries an adjacent
 //! `// lint: allow(panic): <reason>` annotation. A panic on these paths
-//! does not return an error to one client — it kills a shard, worker, or
-//! dispatcher thread and degrades every connection mapped to it.
+//! does not return an error to one client — it kills a shard or worker
+//! thread and degrades every connection mapped to it.
 //!
 //! One shape is exempt: `.expect(...)?`. The trailing `?` proves the
 //! callee returns `Result` and the error propagates (the serde shim's

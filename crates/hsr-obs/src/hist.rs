@@ -85,14 +85,15 @@ impl Histogram {
 
     /// Record one sample.
     pub fn record(&self, v: u64) {
-        // ordering: Release pairs with the Acquire bucket reads in
-        // `snapshot`, publishing the sample to the reader.
-        self.counts[bucket_of(v)].fetch_add(1, Ordering::Release);
-        // ordering: sum/max are advisory aggregates; snapshot documents
-        // that they may run slightly ahead of the captured buckets.
+        // ordering: sum/max are advisory aggregates, written before the
+        // bucket so the Release below publishes them with the sample.
         self.sum.fetch_add(v, Ordering::Relaxed);
         // ordering: see `sum` above.
         self.max.fetch_max(v, Ordering::Relaxed);
+        // ordering: Release pairs with the Acquire bucket reads in
+        // `snapshot`: a reader that sees the sample also sees `max` at
+        // or above it.
+        self.counts[bucket_of(v)].fetch_add(1, Ordering::Release);
     }
 
     /// Record a [`Duration`] as nanoseconds (saturating at `u64::MAX`).
@@ -103,7 +104,8 @@ impl Histogram {
     /// Freeze a sparse snapshot. The snapshot's `total` is computed from
     /// the captured bucket counts, so `total == n.iter().sum()` always
     /// holds even while writers race; `sum_ns`/`max_ns` are read after
-    /// the buckets and may reflect slightly newer samples.
+    /// the buckets and may reflect slightly newer samples, so `max_ns`
+    /// bounds every captured sample.
     pub fn snapshot(&self) -> HistSnapshot {
         let mut bucket = Vec::new();
         let mut n = Vec::new();
@@ -151,7 +153,8 @@ pub struct HistSnapshot {
 
 impl HistSnapshot {
     /// The `q`-quantile (`q` in `[0, 1]`), answered as the upper bound of
-    /// the bucket containing the `ceil(q · total)`-th smallest sample.
+    /// the bucket containing the `ceil(q · total)`-th smallest sample,
+    /// clamped to `max_ns` so no quantile exceeds the observed maximum.
     /// Exact to within [`RELATIVE_ERROR`] relative error; `0` if empty.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.total == 0 {
@@ -162,7 +165,7 @@ impl HistSnapshot {
         for (i, &c) in self.bucket.iter().zip(&self.n) {
             seen += c;
             if seen >= rank {
-                return bucket_upper(*i as usize);
+                return bucket_upper(*i as usize).min(self.max_ns);
             }
         }
         self.max_ns
@@ -301,6 +304,18 @@ mod tests {
             );
         }
         assert_eq!(s.max_ns, *vals.last().unwrap());
+    }
+
+    #[test]
+    fn quantiles_never_exceed_the_observed_max() {
+        let h = Histogram::new();
+        h.record(1000); // bucket [992, 1023]
+        let s = h.snapshot();
+        assert_eq!(s.max_ns, 1000);
+        assert_eq!(s.quantile(1.0), s.max_ns);
+        assert_eq!(s.quantile(0.5), 1000);
+        h.record(10);
+        assert_eq!(h.snapshot().quantile(0.99), 1000);
     }
 
     #[test]

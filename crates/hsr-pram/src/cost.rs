@@ -280,16 +280,6 @@ pub fn record_depth(cat: Category, d: u64) {
     });
 }
 
-/// Does nothing. Counters are no longer process-global: create a
-/// [`CostCollector`] per measured region instead of resetting shared
-/// state (which corrupted any measurement bracketing the reset).
-#[deprecated(
-    since = "0.1.0",
-    note = "counters are scoped now — bracket measurements with `CostCollector` \
-            (e.g. `CostCollector::measure`) instead of resetting globals"
-)]
-pub fn reset() {}
-
 /// A snapshot of all counters.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
@@ -304,17 +294,6 @@ impl CostReport {
     /// A report with every category present and zero.
     pub fn zeroed() -> CostReport {
         CostReport { work: vec![0; N_CATEGORIES], depth: vec![0; N_CATEGORIES] }
-    }
-
-    /// The calling thread's active collector's counters (zeros when none
-    /// is installed).
-    #[deprecated(
-        since = "0.1.0",
-        note = "counters are scoped now — read `CostCollector::report()` on the \
-                collector you installed, or a `Report`'s `cost` field"
-    )]
-    pub fn snapshot() -> Self {
-        current().map_or_else(CostReport::zeroed, |c| c.report())
     }
 
     /// Work in one category (0 when the report predates the category).
@@ -560,17 +539,5 @@ mod tests {
         // Accessors are equally robust on short reports.
         assert_eq!(short.depth_of(Category::Other), 0);
         assert_eq!(short.work_of(Category::Other), 0);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_still_compile_and_behave() {
-        reset(); // no-op
-        assert_eq!(CostReport::snapshot(), CostReport::zeroed());
-        let c = CostCollector::new();
-        let g = c.install();
-        add_work(Category::Query, 2);
-        assert_eq!(CostReport::snapshot().work_of(Category::Query), 2);
-        drop(g);
     }
 }

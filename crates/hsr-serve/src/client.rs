@@ -91,8 +91,9 @@ impl Client {
 
     /// Pipelines a batch: writes every request before reading any
     /// response, then matches responses back to request order by id.
-    /// Pipelining is what gives the server's dispatcher companions to
-    /// coalesce; a strict request/response ping-pong never batches.
+    /// Pipelining is what queues compatible requests together for a
+    /// server worker to coalesce; a strict request/response ping-pong
+    /// never batches.
     pub fn eval_pipelined(
         &mut self,
         terrain: &str,

@@ -42,14 +42,14 @@ use crate::protocol::{
     salvage_id, ErrorKind, Payload, Request, Response, UploadAck, UploadBegin, UploadChunk,
     WireError,
 };
-use crate::server::{Counters, Job, JobTrace, Msg, ServeConfig, Shared};
+use crate::server::{Counters, Job, JobTrace, ServeConfig, Shared};
 use hsr_catalog::{BlobWriter, Catalog, CatalogError, TerrainFormat};
 use hsr_obs::lock_unpoisoned;
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Safety-net wait timeout: shards are woken by `notify` for every
@@ -224,12 +224,7 @@ enum IoOutcome {
 }
 
 /// The body of one event-loop thread.
-pub(crate) fn shard_loop(
-    shard: &Arc<ShardHandle>,
-    shared: &Arc<Shared>,
-    admission: &mpsc::SyncSender<Msg>,
-    config: &ServeConfig,
-) {
+pub(crate) fn shard_loop(shard: &Arc<ShardHandle>, shared: &Arc<Shared>, config: &ServeConfig) {
     let mut conns: HashMap<usize, Conn> = HashMap::new();
     let mut next_key: usize = 0;
     let mut events: Vec<polling::Event> = Vec::new();
@@ -275,10 +270,10 @@ pub(crate) fn shard_loop(
         // in both lists just gets a cheap second pass.
         let dirty: Vec<usize> = lock_unpoisoned(&shard.dirty).drain(..).collect();
         for key in dirty {
-            service(&mut conns, key, false, shard, shared, admission, config);
+            service(&mut conns, key, false, shard, shared, config);
         }
         for event in &events {
-            service(&mut conns, event.key, event.readable, shard, shared, admission, config);
+            service(&mut conns, event.key, event.readable, shard, shared, config);
         }
     }
 }
@@ -291,7 +286,6 @@ fn service(
     readable: bool,
     shard: &Arc<ShardHandle>,
     shared: &Arc<Shared>,
-    admission: &mpsc::SyncSender<Msg>,
     config: &ServeConfig,
 ) {
     let Some(conn) = conns.get_mut(&key) else {
@@ -300,7 +294,7 @@ fn service(
     let mut outcome = if conn.reply.is_dropped() {
         IoOutcome::Closed
     } else if readable {
-        service_read(conn, shared, admission, config)
+        service_read(conn, shared, config)
     } else {
         IoOutcome::Open(false)
     };
@@ -329,23 +323,29 @@ fn service(
 
 /// Nonblocking read drain: pulls up to `READ_BUDGET` chunks, slicing
 /// complete lines out and enforcing the line-length cap as bytes arrive.
-fn service_read(
-    conn: &mut Conn,
-    shared: &Arc<Shared>,
-    admission: &mpsc::SyncSender<Msg>,
-    config: &ServeConfig,
-) -> IoOutcome {
+/// The eval jobs parsed on the way enter the admission queue together at
+/// the end, so a pipelined burst that arrived in one read coalesces.
+fn service_read(conn: &mut Conn, shared: &Arc<Shared>, config: &ServeConfig) -> IoOutcome {
     let mut chunk = [0u8; READ_CHUNK];
+    let mut jobs = Vec::new();
+    let mut outcome = IoOutcome::Open(false);
     for _ in 0..READ_BUDGET {
         match conn.stream.read(&mut chunk) {
-            Ok(0) => return IoOutcome::Closed, // client hung up
-            Ok(n) => ingest(conn, &chunk[..n], shared, admission, config),
+            Ok(0) => {
+                outcome = IoOutcome::Closed; // client hung up
+                break;
+            }
+            Ok(n) => ingest(conn, &chunk[..n], shared, config, &mut jobs),
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return IoOutcome::Closed,
+            Err(_) => {
+                outcome = IoOutcome::Closed;
+                break;
+            }
         }
     }
-    IoOutcome::Open(false)
+    shared.queue.admit(jobs, &shared.counters);
+    outcome
 }
 
 /// Splits `bytes` into request lines against the connection's carry
@@ -355,8 +355,8 @@ fn ingest(
     conn: &mut Conn,
     bytes: &[u8],
     shared: &Arc<Shared>,
-    admission: &mpsc::SyncSender<Msg>,
     config: &ServeConfig,
+    jobs: &mut Vec<Job>,
 ) {
     let cap = config.max_line_bytes.max(1);
     let mut rest = bytes;
@@ -379,11 +379,11 @@ fn ingest(
                     reject_oversized(conn, line_len, cap, shared);
                     conn.discarding = false; // newline already consumed
                 } else if conn.inbuf.is_empty() {
-                    handle_line(conn, &rest[..nl], shared, admission, config);
+                    handle_line(conn, &rest[..nl], shared, config, jobs);
                 } else {
                     conn.inbuf.extend_from_slice(&rest[..nl]);
                     let line = std::mem::take(&mut conn.inbuf);
-                    handle_line(conn, &line, shared, admission, config);
+                    handle_line(conn, &line, shared, config, jobs);
                 }
                 conn.inbuf.clear();
                 rest = &rest[nl + 1..];
@@ -418,15 +418,14 @@ fn reject_oversized(conn: &mut Conn, got: usize, cap: usize, shared: &Arc<Shared
     ));
 }
 
-/// One complete request line: parse, validate the id, then either admit
-/// (eval — exactly the PR-5 per-line path, minus the thread it used to
-/// run on) or handle inline (admin).
+/// One complete request line: parse, validate the id, then either push
+/// an eval job for admission or handle an admin request inline.
 fn handle_line(
     conn: &mut Conn,
     raw: &[u8],
     shared: &Arc<Shared>,
-    admission: &mpsc::SyncSender<Msg>,
     config: &ServeConfig,
+    jobs: &mut Vec<Job>,
 ) {
     // Tracing clock zero: only read when a recorder is installed — the
     // recorder-less fast path takes no timestamps at all.
@@ -479,29 +478,9 @@ fn handle_line(
             t_start: t0,
             parse_ns: parse_ns.unwrap_or(0),
             t_admitted: Instant::now(),
-            t_dispatched: None,
         })
     });
-    let job = Box::new(Job { request, reply: Arc::clone(&conn.reply), trace });
-    // `admitted` is counted by the dispatcher at receipt, not here —
-    // see the `ServeStats` snapshot-consistency contract.
-    match admission.try_send(Msg::Job(job)) {
-        Ok(()) => {}
-        Err(mpsc::TrySendError::Full(_)) => {
-            // ordering: standalone tally; no data rides on it.
-            shared.counters.rejected.fetch_add(1, Ordering::Relaxed);
-            conn.reply.send(&Response::err(
-                id,
-                WireError::new(ErrorKind::Overloaded, "admission queue full; retry later"),
-            ));
-        }
-        Err(mpsc::TrySendError::Disconnected(_)) => {
-            conn.reply.send(&Response::err(
-                id,
-                WireError::new(ErrorKind::ShuttingDown, "server is shutting down"),
-            ));
-        }
-    }
+    jobs.push(Job { request, reply: Arc::clone(&conn.reply), trace });
 }
 
 /// Maps a catalog failure onto the wire: a missing name is the same

@@ -18,11 +18,15 @@
 //!   with nonblocking I/O: capped request-line buffers, bounded
 //!   per-connection outgoing queues (a slow reader is disconnected,
 //!   never buffered without bound), a bounded admission queue with
-//!   immediate [`ErrorKind::Overloaded`] rejection, a dispatcher that
-//!   **coalesces** requests targeting the same terrain and compatible
-//!   config ([`hsr_core::view::CompatKey`]) into one
-//!   `evaluate_batch`/`eval_many` fan-out, and a bounded worker pool
-//!   that *enqueues* responses instead of blocking on client sockets.
+//!   immediate [`ErrorKind::Overloaded`] rejection, and a bounded
+//!   worker pool that pulls from that queue. Each worker **coalesces**:
+//!   it takes the oldest queued request plus every queued request
+//!   targeting the same terrain with compatible config
+//!   ([`hsr_core::view::CompatKey`]), evaluates them as one
+//!   `evaluate_batch`/`eval_many` fan-out, and *enqueues* the
+//!   responses instead of blocking on client sockets. No timer holds a
+//!   request back: a lone request starts as soon as a worker is free,
+//!   and a pipelined burst read in one go is queued whole.
 //! * [`catalog`] — named terrains behind a hard-capped prepared-scene
 //!   LRU, **sharded by terrain name** (per-shard bookkeeping locks,
 //!   per-terrain prepare locks), with two backends: a monolithic

@@ -403,7 +403,7 @@ pub struct UploadAck {
 /// scraping `/proc` or test-side state.
 #[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct StatsSnapshot {
-    /// Connection/admission/dispatch counters.
+    /// Connection, admission, batch and outcome counters.
     pub serve: ServeStats,
     /// Prepared-scene cache counters.
     pub prepared: PreparedStats,

@@ -3,18 +3,19 @@
 //! ```text
 //!                        ┌── event-loop shard 0 ──────────────┐
 //! clients ──TCP──▶ accept│  poll: nonblocking reads, capped   │
-//!   (round-robin) ──────▶│  line buffers ── parse ──try_send──┼──▶ admission
+//!   (round-robin) ──────▶│  line buffers ── parse ── admit ───┼──▶ admission
 //!                        │  bounded outgoing queues drained   │    queue
 //!                        │  on writability ◀─── enqueue ──────┼─┐  (bounded)
 //!                        └────────────────────────────────────┘ │    │ full?
 //!                        ┌── event-loop shard 1 … N ─────────┐  │    │ reject
 //!                        │  (identical; connections sharded) │  │    ▼
-//!                        └──────────────────────────────────-┘  │  dispatcher
-//!                                                               │    │ groups by
-//!                                                               │    ▼ (terrain,
-//!                                                               │  rendezvous
-//!                                                               │  channel
-//!                                                               │    │ CompatKey)
+//!                        └──────────────────────────────────-┘  │  each worker
+//!                                                               │  pulls the
+//!                                                               │  oldest job +
+//!                                                               │  its queued
+//!                                                               │  (terrain,
+//!                                                               │  CompatKey)
+//!                                                               │  matches
 //!                                                               │    ▼
 //!                                                               └─ worker pool
 //!                                                                  (bounded,
@@ -22,31 +23,33 @@
 //!                                                                   PreparedCache)
 //! ```
 //!
-//! Backpressure is a chain, not a single knob: workers pull coalesced
-//! batches from a zero-capacity rendezvous channel, so a busy pool
-//! blocks the dispatcher; the dispatcher stops draining the bounded
-//! admission queue; and once that queue is full, the event loops reject
-//! new requests immediately with [`ErrorKind::Overloaded`] instead of
-//! buffering without bound. Nothing in the path allocates
-//! proportionally to offered load — request lines are capped at
-//! [`ServeConfig::max_line_bytes`], per-connection response queues at
-//! [`ServeConfig::outgoing_cap_bytes`] (overflow disconnects the slow
-//! client, counted in [`ServeStats::dropped_slow`]), and workers *never
-//! block on a client socket*: they enqueue and move on.
+//! Backpressure is one bounded queue. A shard admits the eval jobs of
+//! one read drain under a single lock acquisition, and the workers pull
+//! from the same queue: each takes the oldest job plus every queued job
+//! with the same `(terrain, CompatKey)`, up to
+//! [`ServeConfig::max_batch`]. A busy pool leaves jobs queued, and once
+//! [`ServeConfig::queue_depth`] are waiting the event loops reject new
+//! requests immediately with [`ErrorKind::Overloaded`] instead of
+//! buffering without bound. No timer holds a job back: a pipelined
+//! burst that arrives in one read is queued whole and coalesces, and a
+//! lone request starts as soon as a worker is free. Nothing in the path
+//! allocates proportionally to offered load — request lines are capped
+//! at [`ServeConfig::max_line_bytes`], per-connection response queues
+//! at [`ServeConfig::outgoing_cap_bytes`] (overflow disconnects the
+//! slow client, counted in [`ServeStats::dropped_slow`]), and workers
+//! *never block on a client socket*: they enqueue and move on.
 
 use crate::catalog::{PreparedCache, PreparedStats, TerrainSource};
 use crate::event_loop::{shard_loop, Reply, ShardHandle};
-use crate::protocol::{ErrorKind, StatsSnapshot};
+use crate::protocol::{ErrorKind, Response, StatsSnapshot, WireError};
 use hsr_catalog::Catalog;
-use hsr_core::view::CompatKey;
 use hsr_obs::{lock_unpoisoned, Histogram, Recorder, RecorderConfig, SpanRecord, TraceRecord};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::time::Instant;
 
 /// Service tuning knobs.
 #[derive(Clone, Copy, Debug)]
@@ -57,16 +60,12 @@ pub struct ServeConfig {
     pub shards: usize,
     /// Worker threads evaluating coalesced batches (≥ 1).
     pub workers: usize,
-    /// Admission-queue depth: requests accepted but not yet dispatched.
-    /// When full, new requests are rejected with
+    /// Admission-queue depth: requests admitted but not yet taken by a
+    /// worker. When full, new requests are rejected with
     /// [`ErrorKind::Overloaded`].
     pub queue_depth: usize,
-    /// Most requests coalesced into one dispatch round (≥ 1).
+    /// Most requests one worker takes from the queue as one group (≥ 1).
     pub max_batch: usize,
-    /// How long the dispatcher waits for companions after the first
-    /// request of a round. Zero disables waiting (group only what is
-    /// already queued).
-    pub batch_window: Duration,
     /// Prepared scenes retained by the LRU (≥ 1).
     pub scene_capacity: usize,
     /// Longest accepted request line in bytes; longer lines are
@@ -89,7 +88,6 @@ impl Default for ServeConfig {
             workers: 2,
             queue_depth: 64,
             max_batch: 16,
-            batch_window: Duration::from_millis(1),
             scene_capacity: 4,
             max_line_bytes: 1 << 20,     // 1 MiB
             outgoing_cap_bytes: 2 << 20, // 2 MiB
@@ -109,18 +107,19 @@ impl Default for ServeConfig {
 ///
 /// `completed + failed ≤ batched_requests ≤ admitted`.
 ///
-/// A request is `admitted` when the dispatcher receives it (not when
-/// the shard enqueues it), so an outcome can never be visible before
-/// its admission is. At quiescence (no requests in flight) the
+/// A request is `admitted` when it enters the admission queue, under
+/// the queue's lock; a worker counts its group under `batches` only
+/// after taking it from that queue, so an outcome can never be visible
+/// before its admission is. At quiescence (no requests in flight) the
 /// inequalities close to `completed + failed + unanswerable = admitted`
-/// where `unanswerable` counts jobs answered `ShuttingDown` from the
-/// drain path.
+/// where `unanswerable` counts the queued jobs that shutdown answered
+/// with `ShuttingDown`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct ServeStats {
     /// Connections accepted.
     pub connections: u64,
-    /// Well-formed requests admitted to the queue (counted at dispatch
-    /// receipt — see the snapshot-consistency contract above).
+    /// Well-formed eval requests admitted to the queue (counted as they
+    /// enter it — see the snapshot-consistency contract above).
     pub admitted: u64,
     /// Requests rejected because the admission queue was full.
     pub rejected: u64,
@@ -134,7 +133,8 @@ pub struct ServeStats {
     /// Connections dropped because their outgoing queue overflowed (the
     /// slow-consumer policy: disconnect, don't buffer without bound).
     pub dropped_slow: u64,
-    /// Dispatch groups evaluated (each is one batched fan-out).
+    /// Groups the workers took from the queue (each is one batched
+    /// fan-out).
     pub batches: u64,
     /// Requests carried by those groups.
     pub batched_requests: u64,
@@ -158,10 +158,11 @@ pub(crate) struct Counters {
 
 impl Counters {
     /// Reads the counters in **reverse pipeline order** (outcomes before
-    /// dispatch counters before `admitted`). Writers increment in
-    /// pipeline order with `Release` — `admitted` happens-before the
-    /// batch counters (same dispatcher thread), which happen-before the
-    /// worker outcomes (rendezvous-channel handoff) — so an `Acquire`
+    /// batch counters before `admitted`). Writers increment in pipeline
+    /// order with `Release` — `admitted` happens-before the batch
+    /// counters (the queue's mutex hands each job from shard to
+    /// worker), which happen-before the worker outcomes (same worker
+    /// thread) — so an `Acquire`
     /// load that observes an outcome also observes the admission that
     /// caused it. That is what makes the [`ServeStats`] inequalities
     /// hold in *every* snapshot, not just at quiescence.
@@ -211,36 +212,169 @@ pub(crate) struct Job {
 }
 
 /// The cross-thread timing baggage of one traced request: the shard
-/// stamps arrival and admission, the dispatcher stamps receipt, and the
-/// worker folds the stamps into the finished span tree at reply time.
+/// stamps arrival and admission, and the worker that takes the job
+/// folds the stamps into the finished span tree at reply time.
 pub(crate) struct JobTrace {
     /// When the shard started handling the request line (the root
     /// span's clock zero).
     pub(crate) t_start: Instant,
     /// How long parsing the line took, from `t_start`.
     pub(crate) parse_ns: u64,
-    /// When the shard handed the job to the admission queue.
+    /// When the shard built the job for admission. The job enters the
+    /// queue together with the rest of its read drain.
     pub(crate) t_admitted: Instant,
-    /// When the dispatcher received the job (set by the dispatcher;
-    /// `None` only if the job never reached it).
-    pub(crate) t_dispatched: Option<Instant>,
 }
 
-pub(crate) enum Msg {
-    Job(Box<Job>),
-    Stop,
+/// The admission queue: every shard pushes into it, every worker pulls
+/// from it. Bounded at `depth`; closed once, by shutdown.
+pub(crate) struct JobQueue {
+    state: Mutex<QueueState>,
+    /// Signalled when jobs arrive or the queue closes.
+    ready: Condvar,
+    depth: usize,
+    max_batch: usize,
 }
 
-enum WorkerMsg {
-    /// One coalesced group: same terrain, same [`CompatKey`].
-    Group(String, Vec<Job>),
-    Stop,
+#[derive(Default)]
+struct QueueState {
+    jobs: VecDeque<Job>,
+    closed: bool,
+}
+
+impl JobQueue {
+    fn new(depth: usize, max_batch: usize) -> JobQueue {
+        JobQueue {
+            state: Mutex::new(QueueState::default()),
+            ready: Condvar::new(),
+            depth: depth.max(1),
+            max_batch,
+        }
+    }
+
+    /// Admits `jobs` in order under one lock acquisition, then wakes a
+    /// worker, so a burst parsed from one read is visible to the
+    /// workers whole. A job past the depth is answered `Overloaded` and
+    /// counted in `rejected`; a job arriving after shutdown closed the
+    /// queue is answered `ShuttingDown`.
+    pub(crate) fn admit(&self, jobs: Vec<Job>, counters: &Counters) {
+        if jobs.is_empty() {
+            return;
+        }
+        let mut refused = Vec::new();
+        let mut admitted = 0u64;
+        {
+            let mut state = lock_unpoisoned(&self.state);
+            for job in jobs {
+                if state.closed {
+                    refused.push((job, ErrorKind::ShuttingDown));
+                } else if state.jobs.len() >= self.depth {
+                    refused.push((job, ErrorKind::Overloaded));
+                } else {
+                    state.jobs.push_back(job);
+                    admitted += 1;
+                }
+            }
+            if admitted > 0 {
+                // ordering: Release starts the pipeline happens-before
+                // chain the Acquire reads in `Counters::snapshot` rely
+                // on; the worker that takes these jobs locks the queue
+                // after this unlock, so its batch counters come later.
+                counters.admitted.fetch_add(admitted, Ordering::Release);
+            }
+        }
+        if admitted > 0 {
+            self.ready.notify_one();
+        }
+        for (job, kind) in refused {
+            if kind == ErrorKind::Overloaded {
+                // ordering: standalone tally; no data rides on it.
+                counters.rejected.fetch_add(1, Ordering::Relaxed);
+            }
+            refuse(&job, kind);
+        }
+    }
+
+    /// Blocks until a job is queued, then takes its group (see
+    /// [`take_group`]) and returns it with the instant the worker picked
+    /// it up. `None` once the queue is closed.
+    fn next_group(&self) -> Option<(Instant, Vec<Job>)> {
+        let mut state = lock_unpoisoned(&self.state);
+        while state.jobs.is_empty() {
+            if state.closed {
+                return None;
+            }
+            state = self
+                .ready
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        let t_pickup = Instant::now();
+        let group = take_group(&mut state.jobs, self.max_batch);
+        let more = !state.jobs.is_empty();
+        drop(state);
+        if more {
+            // Jobs of other keys stay queued: hand them to an idle worker.
+            self.ready.notify_one();
+        }
+        Some((t_pickup, group))
+    }
+
+    /// Closes the queue and answers the jobs still queued with
+    /// `ShuttingDown`, as later `admit`s will be. Workers exit once idle.
+    fn close(&self) {
+        let left = {
+            let mut state = lock_unpoisoned(&self.state);
+            state.closed = true;
+            std::mem::take(&mut state.jobs)
+        };
+        self.ready.notify_all();
+        for job in &left {
+            refuse(job, ErrorKind::ShuttingDown);
+        }
+    }
+}
+
+/// Answers a job the queue turned away or dropped at shutdown.
+fn refuse(job: &Job, kind: ErrorKind) {
+    let message = if kind == ErrorKind::Overloaded {
+        "admission queue full; retry later"
+    } else {
+        "server is shutting down"
+    };
+    job.reply
+        .send(&Response::err(job.request.id, WireError::new(kind, message)));
+}
+
+/// Takes the oldest queued job plus every later job with the same
+/// `(terrain, CompatKey)`, up to `max_batch` jobs in arrival order; the
+/// jobs left behind keep their order. The oldest job always leaves
+/// first, so no key can starve. Views with equal keys against the same
+/// terrain evaluate identically alone or batched (scoped per-view cost
+/// collectors), so grouping is purely a throughput decision — one
+/// prepared-scene lookup and one parallel fan-out per group.
+fn take_group(queue: &mut VecDeque<Job>, max_batch: usize) -> Vec<Job> {
+    let Some(first) = queue.pop_front() else {
+        return Vec::new();
+    };
+    let key = first.request.view.compat_key();
+    let mut group = vec![first];
+    let mut i = 0;
+    while group.len() < max_batch {
+        let Some(job) = queue.get(i) else { break };
+        if job.request.terrain == group[0].request.terrain && job.request.view.compat_key() == key {
+            group.extend(queue.remove(i));
+        } else {
+            i += 1;
+        }
+    }
+    group
 }
 
 pub(crate) struct Shared {
     pub(crate) cache: PreparedCache,
     pub(crate) catalog: Option<Arc<Catalog>>,
     pub(crate) counters: Arc<Counters>,
+    pub(crate) queue: JobQueue,
     pub(crate) stop: AtomicBool,
     /// The observability recorder plus its cached stage histograms.
     /// `None` means tracing is off and every obs touchpoint reduces to
@@ -301,9 +435,7 @@ impl Shared {
 pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    admission: mpsc::SyncSender<Msg>,
     accept_handle: Option<std::thread::JoinHandle<()>>,
-    dispatch_handle: Option<std::thread::JoinHandle<()>>,
     worker_handles: Vec<std::thread::JoinHandle<()>>,
     shards: Vec<Arc<ShardHandle>>,
     shard_handles: Vec<std::thread::JoinHandle<()>>,
@@ -350,21 +482,18 @@ impl Server {
     /// still open afterwards are closed (clients observe EOF).
     pub fn shutdown(mut self) {
         // ordering: SeqCst stop flag — set once at shutdown; the total
-        // order keeps the accept/dispatch/shard exit checks trivial to
-        // reason about and costs nothing off the steady-state path.
+        // order keeps the accept/shard exit checks trivial to reason
+        // about and costs nothing off the steady-state path.
         self.shared.stop.store(true, Ordering::SeqCst);
         // Unblock the accept loop with a no-op connection.
         let _ = TcpStream::connect(self.addr);
         if let Some(h) = self.accept_handle.take() {
             let _ = h.join();
         }
-        // Stop the dispatcher; it answers the queue's stragglers and
-        // forwards one Stop per worker. The shards outlive the workers
-        // so every answer a worker enqueues still reaches its client.
-        let _ = self.admission.send(Msg::Stop);
-        if let Some(h) = self.dispatch_handle.take() {
-            let _ = h.join();
-        }
+        // Close the queue; each worker exits after its current group.
+        // The shards outlive the workers so every answer a worker
+        // enqueues still reaches its client.
+        self.shared.queue.close();
         for h in self.worker_handles.drain(..) {
             let _ = h.join();
         }
@@ -482,15 +611,9 @@ impl ServerBuilder {
         self
     }
 
-    /// Most requests coalesced into one dispatch round (≥ 1).
+    /// Most requests one worker takes from the queue as one group (≥ 1).
     pub fn max_batch(mut self, n: usize) -> ServerBuilder {
         self.config.max_batch = n.max(1);
-        self
-    }
-
-    /// How long to wait for coalescing companions.
-    pub fn batch_window(mut self, window: Duration) -> ServerBuilder {
-        self.config.batch_window = window;
         self
     }
 
@@ -514,9 +637,9 @@ impl ServerBuilder {
     }
 
     /// Binds the listener and starts the service threads: `shards`
-    /// event loops, one dispatcher, `workers` evaluators, one acceptor
-    /// — a **fixed-size** set, independent of how many connections are
-    /// held open.
+    /// event loops, `workers` evaluators and one acceptor — a
+    /// **fixed-size** set, independent of how many connections are held
+    /// open.
     pub fn bind(self, addr: impl ToSocketAddrs) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
@@ -532,34 +655,19 @@ impl ServerBuilder {
             cache,
             catalog: self.catalog,
             counters: Arc::new(Counters::default()),
+            queue: JobQueue::new(config.queue_depth, config.max_batch),
             stop: AtomicBool::new(false),
             obs: self.recorder.map(Obs::new),
         });
 
-        let (admission_tx, admission_rx) = mpsc::sync_channel::<Msg>(config.queue_depth.max(1));
-        // Zero capacity: handing a group over *is* the rendezvous with a
-        // free worker — the dispatcher blocking here is what propagates
-        // worker saturation back to the admission queue.
-        let (worker_tx, worker_rx) = mpsc::sync_channel::<WorkerMsg>(0);
-        let worker_rx = Arc::new(Mutex::new(worker_rx));
-
         let worker_handles: Vec<_> = (0..config.workers.max(1))
             .map(|i| {
-                let rx = Arc::clone(&worker_rx);
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("hsr-serve-worker-{i}"))
-                    .spawn(move || worker_loop(&rx, &shared))
+                    .spawn(move || worker_loop(&shared))
             })
             .collect::<std::io::Result<_>>()?;
-
-        let dispatch_handle = {
-            let shared = Arc::clone(&shared);
-            let workers = config.workers.max(1);
-            std::thread::Builder::new()
-                .name("hsr-serve-dispatch".into())
-                .spawn(move || dispatch_loop(&admission_rx, &worker_tx, &shared, config, workers))?
-        };
 
         let shards: Vec<Arc<ShardHandle>> = (0..config.shards.max(1))
             .map(|_| ShardHandle::new().map(Arc::new))
@@ -570,10 +678,9 @@ impl ServerBuilder {
             .map(|(i, shard)| {
                 let shard = Arc::clone(shard);
                 let shared = Arc::clone(&shared);
-                let admission = admission_tx.clone();
                 std::thread::Builder::new()
                     .name(format!("hsr-serve-shard-{i}"))
-                    .spawn(move || shard_loop(&shard, &shared, &admission, &config))
+                    .spawn(move || shard_loop(&shard, &shared, &config))
             })
             .collect::<std::io::Result<_>>()?;
 
@@ -588,9 +695,7 @@ impl ServerBuilder {
         Ok(Server {
             addr,
             shared,
-            admission: admission_tx,
             accept_handle: Some(accept_handle),
-            dispatch_handle: Some(dispatch_handle),
             worker_handles,
             shards,
             shard_handles,
@@ -617,143 +722,28 @@ fn accept_loop(listener: &TcpListener, shards: &[Arc<ShardHandle>], shared: &Arc
     }
 }
 
-fn dispatch_loop(
-    admission: &mpsc::Receiver<Msg>,
-    worker_tx: &mpsc::SyncSender<WorkerMsg>,
-    shared: &Arc<Shared>,
-    config: ServeConfig,
-    workers: usize,
-) {
-    // Admission is counted here, at receipt, not at the shard's
-    // `try_send`: the increment then happens-before every downstream
-    // batch counter and worker outcome (same thread, then channel
-    // handoff), which is what the [`ServeStats`] snapshot-consistency
-    // contract relies on. At quiescence the total is identical to
-    // enqueue-time counting — every sent job is received.
-    let receive = |job: &mut Job| {
-        // ordering: Release starts the pipeline happens-before chain the
-        // Acquire reads in `Counters::snapshot` rely on.
-        shared.counters.admitted.fetch_add(1, Ordering::Release);
-        if let Some(trace) = job.trace.as_deref_mut() {
-            trace.t_dispatched = Some(Instant::now());
-        }
-    };
-    'rounds: loop {
-        // Block for the first request of a round.
-        let mut first = match admission.recv() {
-            Ok(Msg::Job(job)) => job,
-            Ok(Msg::Stop) | Err(_) => break 'rounds,
-        };
-        receive(&mut first);
-        let mut round: Vec<Job> = vec![*first];
-        let mut stopping = false;
-        // Gather companions until the window closes or the round fills.
-        let deadline = Instant::now() + config.batch_window;
-        while round.len() < config.max_batch.max(1) {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            let msg = if remaining.is_zero() {
-                match admission.try_recv() {
-                    Ok(msg) => msg,
-                    Err(_) => break,
-                }
-            } else {
-                match admission.recv_timeout(remaining) {
-                    Ok(msg) => msg,
-                    Err(_) => break,
-                }
-            };
-            match msg {
-                Msg::Job(mut job) => {
-                    receive(&mut job);
-                    round.push(*job);
-                }
-                Msg::Stop => {
-                    stopping = true;
-                    break;
-                }
-            }
-        }
-        // Coalesce the round: (terrain, CompatKey) → one group, arrival
-        // order preserved within each group, first-seen order across
-        // groups.
-        for (terrain, group) in coalesce(round) {
-            let len = group.len() as u64;
-            // ordering: Release; pipeline counter read with Acquire by
-            // `Counters::snapshot`.
-            shared.counters.batches.fetch_add(1, Ordering::Release);
-            // ordering: Release; see `batches` above.
-            shared
-                .counters
-                .batched_requests
-                .fetch_add(len, Ordering::Release);
-            // ordering: high-water gauge outside the pipeline
-            // inequalities; Relaxed suffices.
-            shared
-                .counters
-                .max_batch_observed
-                .fetch_max(len, Ordering::Relaxed);
-            if worker_tx.send(WorkerMsg::Group(terrain, group)).is_err() {
-                break 'rounds;
-            }
-        }
-        if stopping {
-            break 'rounds;
-        }
-    }
-    // Answer whatever is still queued with a shutdown error, then stop
-    // the workers. The short grace timeout covers event loops that
-    // passed their stop-flag check just before shutdown flipped it and
-    // whose send lands after the queue looked empty — their jobs still
-    // get a response instead of vanishing with the receiver.
-    while let Ok(msg) = admission.recv_timeout(Duration::from_millis(50)) {
-        if let Msg::Job(mut job) = msg {
-            receive(&mut job);
-            job.reply.send(&crate::protocol::Response::err(
-                job.request.id,
-                crate::protocol::WireError::new(ErrorKind::ShuttingDown, "server is shutting down"),
-            ));
-        }
-    }
-    for _ in 0..workers {
-        let _ = worker_tx.send(WorkerMsg::Stop);
-    }
-}
-
-/// Groups a dispatch round by `(terrain, CompatKey)`, preserving arrival
-/// order within each group and first-seen order across groups. Views
-/// with equal keys against the same terrain evaluate identically alone
-/// or batched (scoped per-view cost collectors), so grouping is purely a
-/// throughput decision — one prepared-scene lookup and one parallel
-/// fan-out per group.
-fn coalesce(round: Vec<Job>) -> Vec<(String, Vec<Job>)> {
-    let mut order: Vec<(String, CompatKey)> = Vec::new();
-    let mut groups: HashMap<(String, CompatKey), Vec<Job>> = HashMap::new();
-    for job in round {
-        let key = (job.request.terrain.clone(), job.request.view.compat_key());
-        let slot = groups.entry(key.clone()).or_default();
-        if slot.is_empty() {
-            order.push(key);
-        }
-        slot.push(job);
-    }
-    order
-        .into_iter()
-        .filter_map(|key| groups.remove(&key).map(|group| (key.0, group)))
-        .collect()
-}
-
-fn worker_loop(rx: &Arc<Mutex<mpsc::Receiver<WorkerMsg>>>, shared: &Arc<Shared>) {
-    loop {
-        let msg = {
-            let rx = lock_unpoisoned(rx);
-            rx.recv()
-        };
-        let (terrain, group) = match msg {
-            Ok(WorkerMsg::Group(terrain, group)) => (terrain, group),
-            Ok(WorkerMsg::Stop) | Err(_) => return,
+fn worker_loop(shared: &Arc<Shared>) {
+    while let Some((t_pickup, group)) = shared.queue.next_group() {
+        let len = group.len() as u64;
+        // ordering: Release; pipeline counter read with Acquire by
+        // `Counters::snapshot`.
+        shared.counters.batches.fetch_add(1, Ordering::Release);
+        // ordering: Release; see `batches` above.
+        shared
+            .counters
+            .batched_requests
+            .fetch_add(len, Ordering::Release);
+        // ordering: high-water gauge outside the pipeline inequalities;
+        // Relaxed suffices.
+        shared
+            .counters
+            .max_batch_observed
+            .fetch_max(len, Ordering::Relaxed);
+        let Some(terrain) = group.first().map(|job| job.request.terrain.as_str()) else {
+            continue;
         };
         let t_group = Instant::now();
-        let (scene, hit) = match shared.cache.get_or_prepare_traced(&terrain) {
+        let (scene, hit) = match shared.cache.get_or_prepare_traced(terrain) {
             (Ok(scene), hit) => (scene, hit),
             (Err(e), hit) => {
                 let t_lookup = Instant::now();
@@ -762,9 +752,9 @@ fn worker_loop(rx: &Arc<Mutex<mpsc::Receiver<WorkerMsg>>>, shared: &Arc<Shared>)
                     // Acquire by `Counters::snapshot`.
                     shared.counters.failed.fetch_add(1, Ordering::Release);
                     let t_send0 = Instant::now();
-                    job.reply
-                        .send(&crate::protocol::Response::err(job.request.id, e.clone()));
+                    job.reply.send(&Response::err(job.request.id, e.clone()));
                     let stamps = Stamps {
+                        t_pickup,
                         t_group,
                         t_lookup,
                         hit,
@@ -772,7 +762,7 @@ fn worker_loop(rx: &Arc<Mutex<mpsc::Receiver<WorkerMsg>>>, shared: &Arc<Shared>)
                         t_send0,
                         t_send1: Instant::now(),
                     };
-                    finalize_trace(shared, job, &terrain, &stamps, None);
+                    finalize_trace(shared, job, terrain, &stamps, None);
                 }
                 continue;
             }
@@ -791,26 +781,36 @@ fn worker_loop(rx: &Arc<Mutex<mpsc::Receiver<WorkerMsg>>>, shared: &Arc<Shared>)
                         .obs
                         .as_ref()
                         .map(|_| hsr_core::view::evaluate_span(&report));
-                    (crate::protocol::Response::ok(job.request.id, report), detail)
+                    (Response::ok(job.request.id, report), detail)
                 }
                 Err(e) => {
                     // ordering: Release; see the `failed` bump above.
                     shared.counters.failed.fetch_add(1, Ordering::Release);
-                    (crate::protocol::Response::err(job.request.id, e), None)
+                    (Response::err(job.request.id, e), None)
                 }
             };
             let t_send0 = Instant::now();
             job.reply.send(&response);
-            let stamps =
-                Stamps { t_group, t_lookup, hit, t_eval, t_send0, t_send1: Instant::now() };
-            finalize_trace(shared, job, &terrain, &stamps, eval_detail);
+            let stamps = Stamps {
+                t_pickup,
+                t_group,
+                t_lookup,
+                hit,
+                t_eval,
+                t_send0,
+                t_send1: Instant::now(),
+            };
+            finalize_trace(shared, job, terrain, &stamps, eval_detail);
         }
     }
 }
 
-/// The worker-side timestamps of one request's tail: group receipt,
-/// scene lookup, group evaluation, and this job's reply enqueue.
+/// The worker-side timestamps of one request's tail: group pickup and
+/// scan, scene lookup, group evaluation, and this job's reply enqueue.
 struct Stamps {
+    /// When the worker found the job queued and began its group scan.
+    t_pickup: Instant,
+    /// When the group was taken and counted.
     t_group: Instant,
     t_lookup: Instant,
     /// Whether the scene lookup was served resident (`lookup_hit`) or
@@ -825,8 +825,8 @@ struct Stamps {
 /// samples plus the span tree. No-op (one branch) without a recorder.
 ///
 /// The stages tile the root interval: `parse` from the line's arrival,
-/// `queue_wait` from admission to dispatch receipt, `coalesce` from
-/// receipt to the worker picking the group up, then `lookup_*`,
+/// `queue_wait` from admission to the worker's pickup, `coalesce` over
+/// the worker's group scan, then `lookup_*`,
 /// `evaluate` (the *group's* evaluation wall — the job's answer waits
 /// for the whole group either way), and `respond`. The only uncovered
 /// gaps are sub-microsecond bookkeeping between stamps, which is what
@@ -848,18 +848,18 @@ fn finalize_trace(
     let mut root = SpanRecord::new("request", 0, total);
     root.children
         .push(SpanRecord::new("parse", 0, trace.parse_ns));
-    let t_dispatched = trace.t_dispatched.unwrap_or(trace.t_admitted);
-    let queue_wait = t_dispatched
+    let queue_wait = stamps
+        .t_pickup
         .saturating_duration_since(trace.t_admitted)
         .as_nanos() as u64;
     root.children
         .push(SpanRecord::new("queue_wait", off(trace.t_admitted), queue_wait));
     let coalesce_ns = stamps
         .t_group
-        .saturating_duration_since(t_dispatched)
+        .saturating_duration_since(stamps.t_pickup)
         .as_nanos() as u64;
     root.children
-        .push(SpanRecord::new("coalesce", off(t_dispatched), coalesce_ns));
+        .push(SpanRecord::new("coalesce", off(stamps.t_pickup), coalesce_ns));
     let lookup_ns = stamps
         .t_lookup
         .saturating_duration_since(stamps.t_group)
@@ -932,32 +932,47 @@ mod tests {
         }
     }
 
+    fn ids(group: &[Job]) -> Vec<u64> {
+        group.iter().map(|j| j.request.id).collect()
+    }
+
     #[test]
     fn coalesce_groups_by_terrain_and_compat_key() {
         let obs = Point3::new(50.0, 2.0, 8.0);
-        let round = vec![
-            job(1, "a", View::orthographic(0.0)),
-            job(2, "b", View::orthographic(0.1)),
-            job(3, "a", View::viewshed(obs, vec![Point3::new(1.0, 1.0, 1.0)])),
-            job(4, "a", View::orthographic(0.2).algorithm(Algorithm::Sequential)),
-            job(5, "b", View::orthographic(0.3)),
-            job(6, "a", View::orthographic(0.4)),
-        ];
-        let groups = coalesce(round);
-        let shape: Vec<(String, Vec<u64>)> = groups
-            .iter()
-            .map(|(t, g)| (t.clone(), g.iter().map(|j| j.request.id).collect()))
-            .collect();
+        let queued = || {
+            VecDeque::from(vec![
+                job(1, "a", View::orthographic(0.0)),
+                job(2, "b", View::orthographic(0.1)),
+                job(3, "a", View::viewshed(obs, vec![Point3::new(1.0, 1.0, 1.0)])),
+                job(4, "a", View::orthographic(0.2).algorithm(Algorithm::Sequential)),
+                job(5, "b", View::orthographic(0.3)),
+                job(6, "a", View::orthographic(0.4)),
+            ])
+        };
+        let mut queue = queued();
+        let groups: Vec<(String, Vec<u64>)> = std::iter::from_fn(|| {
+            let group = take_group(&mut queue, 16);
+            group
+                .first()
+                .map(|j| (j.request.terrain.clone(), ids(&group)))
+        })
+        .collect();
         // Same terrain + same config coalesce across projection kinds
         // (1, 3, 6); the sequential-algorithm request gets its own
-        // group; terrain b's defaults coalesce (2, 5). First-seen order.
+        // group; terrain b's defaults coalesce (2, 5). Oldest first.
         assert_eq!(
-            shape,
+            groups,
             vec![
                 ("a".into(), vec![1, 3, 6]),
                 ("b".into(), vec![2, 5]),
                 ("a".into(), vec![4]),
             ]
         );
+
+        // At max_batch 2 the third matching job (6) stays queued, in
+        // order, behind the others.
+        let mut queue = queued();
+        assert_eq!(ids(&take_group(&mut queue, 2)), vec![1, 3]);
+        assert_eq!(ids(queue.make_contiguous()), vec![2, 4, 5, 6]);
     }
 }

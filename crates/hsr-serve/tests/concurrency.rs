@@ -1,15 +1,16 @@
-//! Concurrency behavior of the service (ISSUE 5 satellite): documented
-//! backpressure, the capacity-1 prepared-scene LRU under terrain
-//! alternation, coalesced batches matching solo evaluations counter for
-//! counter, and the tile-cache stats invariant on the tiled backend.
+//! Concurrency behavior of the service: documented backpressure, the
+//! capacity-1 prepared-scene LRU under terrain alternation, coalesced
+//! batches matching solo evaluations counter for counter, a pipelined
+//! burst coalescing into one group, shutdown answering every queued
+//! job, and the tile-cache stats invariant on the tiled backend.
 
 use hsr_core::pipeline::Algorithm;
 use hsr_core::view::{evaluate, Report, View};
 use hsr_geometry::Point3;
-use hsr_serve::{Client, ErrorKind, ServerBuilder, TerrainSource};
+use hsr_serve::{Client, ErrorKind, Request, Response, ServerBuilder, TerrainSource};
 use hsr_terrain::gen;
 use hsr_tile::{TileStore, TiledScene, TiledSceneConfig, TilingConfig};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn fingerprint(r: &Report) -> (Vec<(u32, u64, u64)>, usize, usize) {
     (
@@ -32,7 +33,6 @@ fn bounded_queue_rejects_with_overloaded_when_full() {
         .workers(1)
         .queue_depth(1)
         .max_batch(1)
-        .batch_window(Duration::ZERO)
         .bind("127.0.0.1:0")
         .unwrap();
     let addr = server.local_addr();
@@ -128,13 +128,12 @@ fn coalesced_batches_match_solo_evaluation_counter_for_counter() {
     let tin = grid.to_tin().unwrap();
     let (lo, hi) = tin.ground_bounds();
     let observer = Point3::new(hi.x + 40.0, 0.5 * (lo.y + hi.y), 12.0);
-    // A single worker plus a generous window: the pipelined batch below
-    // reliably coalesces into few dispatch groups.
+    // A single worker: whatever of the pipelined batch below queues up
+    // while it evaluates is taken as one group.
     let server = ServerBuilder::new()
         .terrain("t", TerrainSource::Grid(grid))
         .workers(1)
         .max_batch(8)
-        .batch_window(Duration::from_millis(250))
         .bind("127.0.0.1:0")
         .unwrap();
 
@@ -163,10 +162,115 @@ fn coalesced_batches_match_solo_evaluation_counter_for_counter() {
     let stats = server.stats();
     assert!(
         stats.max_batch_observed >= 2,
-        "pipelined same-terrain requests inside a 250ms window must coalesce, got {stats:?}"
+        "pipelined same-terrain requests queued behind a busy worker must coalesce, got {stats:?}"
     );
     assert_eq!(stats.batched_requests, stats.admitted);
     server.shutdown();
+}
+
+/// A pipelined burst that reaches the server in one write is admitted
+/// under one lock acquisition, so a worker takes it as one group with
+/// no batching timer: the shape of a client pipelining viewsheds.
+#[test]
+fn pipelined_burst_in_one_write_forms_one_group() {
+    let grid = gen::diamond_square(5, 0.6, 9.0, 29); // 33×33
+    let tin = grid.to_tin().unwrap();
+    let server = ServerBuilder::new()
+        .terrain("t", TerrainSource::Grid(grid))
+        .workers(2)
+        .bind("127.0.0.1:0")
+        .unwrap();
+    let views: Vec<View> = (0..5)
+        .map(|i| {
+            let observer = Point3::new(60.0 + 10.0 * i as f64, 16.0, 15.0);
+            View::viewshed(
+                observer,
+                vec![Point3::new(8.37, 9.53, 4.0), Point3::new(20.1, 4.2, 3.0)],
+            )
+        })
+        .collect();
+    let mut burst = String::new();
+    for (i, view) in views.iter().enumerate() {
+        burst += &serde_json::to_string(&Request::eval(i as u64 + 1, "t", view.clone())).unwrap();
+        burst.push('\n');
+    }
+    use std::io::{BufRead as _, BufReader, Write as _};
+    let mut stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    let before = server.stats();
+    stream.write_all(burst.as_bytes()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut answered = vec![None; views.len()];
+    for _ in 0..views.len() {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        let response: Response = serde_json::from_str(line.trim()).unwrap();
+        let slot = (response.id - 1) as usize;
+        answered[slot] = Some(response.into_result().unwrap());
+    }
+    for (view, got) in views.iter().zip(&answered) {
+        let got = got.as_ref().expect("every id answered once");
+        assert_eq!(got.verdicts, evaluate(&tin, view).unwrap().verdicts);
+    }
+
+    let after = server.stats();
+    assert_eq!(after.admitted - before.admitted, 5);
+    assert_eq!(after.batches - before.batches, 1, "one burst, one group: {after:?}");
+    assert_eq!(after.max_batch_observed, 5);
+    server.shutdown();
+}
+
+/// Shutdown with jobs queued behind a busy worker: the worker finishes
+/// its group, every queued job is answered `ShuttingDown`, and no id
+/// goes unanswered.
+#[test]
+fn shutdown_answers_every_queued_job() {
+    let grid = gen::ridge_field(22, 22, 3, 9.0, 11);
+    let server = ServerBuilder::new()
+        .terrain("t", TerrainSource::Grid(grid))
+        .workers(1)
+        .max_batch(1)
+        .bind("127.0.0.1:0")
+        .unwrap();
+    let addr = server.local_addr();
+    // An O(n²) naive evaluation occupies the single worker; the six
+    // views behind it wait in the queue.
+    let views: Vec<View> = std::iter::once(View::orthographic(0.0).algorithm(Algorithm::Naive))
+        .chain((1..7).map(|i| View::orthographic(0.1 * i as f64)))
+        .collect();
+    let n = views.len() as u64;
+    let client = std::thread::spawn(move || {
+        let mut client = Client::connect(addr).unwrap();
+        client.eval_pipelined("t", &views)
+    });
+    // Shut down once every job is queued and the worker has taken the
+    // oldest, the naive view: it is busy, and the rest wait behind it.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let stats = loop {
+        let stats = server.stats();
+        if stats.admitted == n && stats.batches >= 1 {
+            break stats;
+        }
+        assert!(Instant::now() < deadline, "jobs never queued and taken: {stats:?}");
+        std::thread::sleep(Duration::from_millis(2));
+    };
+    server.shutdown();
+
+    let results = client
+        .join()
+        .unwrap()
+        .expect("every pipelined id is answered before the connection closes");
+    assert_eq!(results.len() as u64, n);
+    let shutting_down = results
+        .iter()
+        .filter(|r| matches!(r, Err(e) if e.kind == ErrorKind::ShuttingDown))
+        .count();
+    let ok = results.iter().filter(|r| r.is_ok()).count();
+    assert_eq!(ok + shutting_down, results.len(), "only Ok or ShuttingDown: {results:?}");
+    assert!(results[0].is_ok(), "the busy worker finishes its group");
+    assert!(
+        shutting_down > 0,
+        "jobs queued at shutdown are answered ShuttingDown (stats before: {stats:?})"
+    );
 }
 
 #[test]

@@ -14,6 +14,9 @@
 //! * A server echoing duplicate response ids is reported as the
 //!   protocol breach it is (PR 5's client silently overwrote the first
 //!   report and blamed the *other* request).
+//! * A request line nesting 100,000 arrays is a `BadRequest`, not a
+//!   stack overflow that aborts the server, and decoding a long string
+//!   takes time linear in its length.
 
 use hsr_core::view::{evaluate, Report, View};
 use hsr_serve::{Client, ErrorKind, Request, Response, ServerBuilder, TerrainSource};
@@ -136,6 +139,69 @@ fn reserved_id_zero_is_rejected_and_salvageable_ids_are_echoed() {
 
     assert_eq!(server.stats().malformed, 2);
     server.shutdown();
+}
+
+/// A 200 KB line whose unknown field nests 100,000 arrays. The decoder
+/// used to recurse once per bracket and overflow the shard's stack,
+/// aborting the whole process; its nesting cap turns the line into a
+/// `BadRequest`, and a second connection on the same shard keeps
+/// getting answers.
+#[test]
+fn deeply_nested_line_is_a_bad_request_and_the_shard_keeps_serving() {
+    let server = ServerBuilder::new()
+        .terrain("t", TerrainSource::Grid(gen::fbm(8, 8, 2, 5.0, 1)))
+        .shards(1)
+        .bind("127.0.0.1:0")
+        .unwrap();
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    let mut reader = lined_reader(&stream, 10);
+    let depth = 100_000;
+    let line = format!(
+        "{{\"id\":7,\"terrain\":\"t\",\"zzz\":{}{}}}\n",
+        "[".repeat(depth),
+        "]".repeat(depth)
+    );
+    stream.write_all(line.as_bytes()).unwrap();
+    let response = read_response(&mut reader);
+    assert_eq!(response.id, 7, "the salvaged id carries the error");
+    let err = response.into_result().unwrap_err();
+    assert_eq!(err.kind, ErrorKind::BadRequest);
+    assert!(err.message.contains("nested deeper"), "cap named in: {}", err.message);
+
+    let mut other = Client::connect(server.local_addr()).unwrap();
+    for i in 0..3 {
+        let t0 = Instant::now();
+        other
+            .eval("t", &View::orthographic(0.2 * i as f64))
+            .expect("the shard still answers after the nested line");
+        assert!(t0.elapsed() < Duration::from_secs(10), "ping-pong answered promptly");
+    }
+    assert_eq!(server.stats().malformed, 1);
+    server.shutdown();
+}
+
+/// Decoding a string costs time linear in its length: a 1 MiB string
+/// line takes about 16× a 64 KiB one. (When every character re-validated
+/// the rest of the line as UTF-8, the ratio was about 256.)
+#[test]
+fn string_decode_time_is_linear_in_line_length() {
+    fn best_of_3(len: usize) -> Duration {
+        let line = format!("{{\"id\":7,\"terrain\":\"t\",\"zzz\":\"{}\"}}", "x".repeat(len));
+        (0..3)
+            .map(|_| {
+                let t0 = Instant::now();
+                let decoded = serde_json::from_str::<Request>(&line);
+                let took = t0.elapsed();
+                assert!(decoded.is_err(), "the line has no view");
+                took
+            })
+            .min()
+            .unwrap()
+    }
+    let small = best_of_3(64 << 10);
+    let large = best_of_3(1 << 20);
+    let ratio = large.as_secs_f64() / small.as_secs_f64().max(1e-9);
+    assert!(ratio < 64.0, "1 MiB took {large:?}, 64 KiB took {small:?}: ratio {ratio:.1}");
 }
 
 #[test]

@@ -8,7 +8,7 @@
 //! cargo run --release --example catalog_admin
 //! ```
 
-use terrain_hsr::serve::{Client, ServeBuilder, TerrainFormat};
+use terrain_hsr::serve::{Client, ServerBuilder, TerrainFormat};
 use terrain_hsr::terrain::{gen, io};
 use terrain_hsr::View;
 
@@ -22,8 +22,8 @@ fn main() {
     let payload = io::grid_to_bytes(&grid);
     let view = View::orthographic(0.25);
 
-    let server = ServeBuilder::new()
-        .catalog(&dir)
+    let server = ServerBuilder::new()
+        .catalog_dir(&dir)
         .expect("catalog dir")
         .workers(2)
         .bind("127.0.0.1:0")
@@ -70,8 +70,8 @@ fn main() {
     // Restart: a new server process on the same catalog directory
     // replays the manifest and serves the same bytes.
     server.shutdown();
-    let server = ServeBuilder::new()
-        .catalog(&dir)
+    let server = ServerBuilder::new()
+        .catalog_dir(&dir)
         .expect("catalog reopen")
         .workers(2)
         .bind("127.0.0.1:0")

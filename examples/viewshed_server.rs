@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use terrain_hsr::geometry::Point3;
-use terrain_hsr::serve::{Client, ServeBuilder};
+use terrain_hsr::serve::{Client, ServerBuilder, TerrainSource};
 use terrain_hsr::terrain::gen;
 use terrain_hsr::tiled::{TileStore, TilingConfig};
 use terrain_hsr::{SceneBuilder, TiledScene, TiledSceneConfig, Verdict, View};
@@ -36,9 +36,9 @@ fn main() {
     )
     .expect("tile pyramid");
 
-    let server = ServeBuilder::new()
-        .scene("hills", &scene)
-        .tiled_store("hills-tiled", &dir, tiled_cfg)
+    let server = ServerBuilder::new()
+        .terrain("hills", TerrainSource::Tin(scene.shared_tin()))
+        .terrain("hills-tiled", TerrainSource::TiledStore { dir: dir.clone(), config: tiled_cfg })
         .workers(3)
         .bind("127.0.0.1:0")
         .expect("bind");

@@ -160,6 +160,10 @@ pub mod de {
 
     impl std::error::Error for Error {}
 
+    /// Deepest array/object nesting [`Deserializer::skip_value`] descends
+    /// into before it returns an error.
+    pub const MAX_SKIP_DEPTH: usize = 128;
+
     /// A hand-rolled recursive-descent JSON reader over a byte slice.
     #[derive(Debug)]
     pub struct Deserializer<'a> {
@@ -282,13 +286,19 @@ pub mod de {
                         }
                     }
                     _ => {
-                        // Re-decode UTF-8: back up and take the full char.
-                        self.pos -= 1;
-                        let rest = std::str::from_utf8(&self.input[self.pos..])
+                        // Copy the whole run of plain bytes up to the next
+                        // quote or escape. It starts and ends at ASCII
+                        // bytes of a `&str`, so it is valid UTF-8, and
+                        // each byte is visited once: decoding is linear.
+                        let start = self.pos - 1;
+                        let run = self.input[self.pos..]
+                            .iter()
+                            .position(|&b| b == b'"' || b == b'\\')
+                            .unwrap_or(self.input.len() - self.pos);
+                        self.pos += run;
+                        let text = std::str::from_utf8(&self.input[start..self.pos])
                             .map_err(|_| self.error("invalid UTF-8"))?;
-                        let c = rest.chars().next().unwrap();
-                        out.push(c);
-                        self.pos += c.len_utf8();
+                        out.push_str(text);
                     }
                 }
             }
@@ -342,8 +352,18 @@ pub mod de {
         }
 
         /// Skips any well-formed JSON value (for unknown object keys).
+        /// Arrays and objects nested deeper than [`MAX_SKIP_DEPTH`] are
+        /// an error, so the recursion, and the stack it uses, stays
+        /// bounded whatever the input.
         pub fn skip_value(&mut self) -> Result<(), Error> {
+            self.skip_nested(0)
+        }
+
+        fn skip_nested(&mut self, depth: usize) -> Result<(), Error> {
             match self.peek() {
+                Some(b'{' | b'[') if depth >= MAX_SKIP_DEPTH => {
+                    Err(self.error(format!("value nested deeper than {MAX_SKIP_DEPTH} levels")))
+                }
                 Some(b'"') => {
                     self.parse_string()?;
                     Ok(())
@@ -354,7 +374,7 @@ pub mod de {
                         loop {
                             self.parse_string()?;
                             self.expect(b':')?;
-                            self.skip_value()?;
+                            self.skip_nested(depth + 1)?;
                             if !self.eat(b',') {
                                 break;
                             }
@@ -367,7 +387,7 @@ pub mod de {
                     self.expect(b'[')?;
                     if !self.eat(b']') {
                         loop {
-                            self.skip_value()?;
+                            self.skip_nested(depth + 1)?;
                             if !self.eat(b',') {
                                 break;
                             }
@@ -695,6 +715,10 @@ mod tests {
         roundtrip(0.1f64 + 0.2);
         roundtrip(true);
         roundtrip(String::from("hé\"llo\n"));
+        roundtrip(String::from("\\\"\u{1}é€😀 tail\"head\\"));
+        assert!(de::Deserializer::new("\"unterminated")
+            .parse_string()
+            .is_err());
     }
 
     #[test]
@@ -711,6 +735,20 @@ mod tests {
                 .into_iter()
                 .collect::<std::collections::BTreeMap<_, _>>(),
         );
+    }
+
+    #[test]
+    fn skip_value_caps_nesting_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let deepest = nested(de::MAX_SKIP_DEPTH);
+        let mut d = de::Deserializer::new(&deepest);
+        d.skip_value().unwrap();
+        d.finish().unwrap();
+        let deep = nested(100_000);
+        let err = de::Deserializer::new(&deep).skip_value().unwrap_err();
+        assert!(err.message.contains("nested deeper"), "{err}");
+        let objects = format!("{}1{}", "{\"k\":".repeat(200), "}".repeat(200));
+        assert!(de::Deserializer::new(&objects).skip_value().is_err());
     }
 
     #[test]

@@ -69,13 +69,36 @@
 //! of detail) and each view streams only its covering tiles through a
 //! hard-capped cache — see the [`tiled`] module for a worked example.
 //!
-//! And scenes can be *served*: the [`serve`] module (feature `serve`,
-//! on by default) binds a TCP service that answers visibility queries
-//! over newline-delimited JSON — coalescing requests with compatible
-//! configuration into one batched fan-out, reusing prepared scenes
-//! through an LRU spanning the monolithic and tiled backends, and
-//! rejecting (rather than buffering) load beyond its bounded admission
-//! queue.
+//! And scenes can be *served*: [`serve`] (the `hsr-serve` crate,
+//! feature `serve`, on by default) binds a TCP service that answers
+//! visibility queries over newline-delimited JSON — coalescing queued
+//! requests with compatible configuration into one batched fan-out,
+//! reusing prepared scenes through an LRU spanning the monolithic and
+//! tiled backends, and rejecting (rather than buffering) load beyond its
+//! bounded admission queue. A built [`Scene`] is hosted by sharing its
+//! TIN:
+//!
+//! ```
+//! # #[cfg(feature = "serve")] {
+//! use terrain_hsr::serve::{Client, ServerBuilder, TerrainSource};
+//! use terrain_hsr::terrain::gen;
+//! use terrain_hsr::{SceneBuilder, View};
+//!
+//! let scene = SceneBuilder::from_grid(&gen::fbm(16, 16, 3, 7.0, 5)).build().unwrap();
+//! let server = ServerBuilder::new()
+//!     .terrain("demo", TerrainSource::Tin(scene.shared_tin()))
+//!     .workers(2)
+//!     .bind("127.0.0.1:0")
+//!     .unwrap();
+//!
+//! let mut client = Client::connect(server.local_addr()).unwrap();
+//! let report = client.eval("demo", &View::orthographic(0.2)).unwrap();
+//! // The served report is bit-identical to a local evaluation.
+//! let local = scene.session().eval(&View::orthographic(0.2)).unwrap();
+//! assert_eq!(report.k, local.k);
+//! server.shutdown();
+//! # }
+//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -84,13 +107,13 @@ pub use hsr_core as core;
 pub use hsr_geometry as geometry;
 pub use hsr_pram as pram;
 pub use hsr_pstruct as pstruct;
+#[cfg(feature = "serve")]
+pub use hsr_serve as serve;
 pub use hsr_terrain as terrain;
 pub use hsr_tile as tile;
 
 pub mod render;
 pub mod scene;
-#[cfg(feature = "serve")]
-pub mod serve;
 pub mod tiled;
 
 pub use scene::{
@@ -98,6 +121,3 @@ pub use scene::{
     SceneBuilder, SceneReport, Session, Timings, Verdict, View,
 };
 pub use tiled::{TiledReport, TiledScene, TiledSceneBuilder, TiledSceneConfig};
-
-#[cfg(feature = "serve")]
-pub use serve::ServeBuilder;

@@ -1,10 +1,10 @@
-//! ISSUE 7 facade acceptance: `ServeBuilder::catalog` wires the
+//! ISSUE 7 facade acceptance: `ServerBuilder::catalog_dir` wires the
 //! persistent terrain catalog through the high-level API — upload over
 //! the wire, restart on the same directory, query bit-identically.
 
 #![cfg(feature = "serve")]
 
-use terrain_hsr::serve::{Client, ClientError, ErrorKind, ServeBuilder, TerrainFormat};
+use terrain_hsr::serve::{Client, ClientError, ErrorKind, ServerBuilder, TerrainFormat};
 use terrain_hsr::terrain::{gen, io};
 use terrain_hsr::View;
 
@@ -16,8 +16,8 @@ fn facade_catalog_survives_restart_and_reports_stats() {
     let view = View::orthographic(0.35);
 
     let first = {
-        let server = ServeBuilder::new()
-            .catalog(&dir)
+        let server = ServerBuilder::new()
+            .catalog_dir(&dir)
             .expect("catalog dir")
             .workers(2)
             .bind("127.0.0.1:0")
@@ -32,8 +32,8 @@ fn facade_catalog_survives_restart_and_reports_stats() {
         report
     };
 
-    let server = ServeBuilder::new()
-        .catalog(&dir)
+    let server = ServerBuilder::new()
+        .catalog_dir(&dir)
         .expect("catalog reopen")
         .workers(2)
         .bind("127.0.0.1:0")

@@ -178,26 +178,25 @@ fn uninstrumented_callers_still_get_per_view_counters() {
 /// The serving layer inherits the guarantee: a request evaluated inside
 /// a server-coalesced batch reports cost counters bit-identical to a
 /// solo evaluation of the same view — over the wire, across worker
-/// threads, whatever the dispatcher grouped it with (ISSUE 5).
+/// threads, whatever group a worker took it in (ISSUE 5).
 #[cfg(feature = "serve")]
 #[test]
 fn served_coalesced_requests_report_solo_cost_counters() {
-    use terrain_hsr::serve::{Client, ServeBuilder};
+    use terrain_hsr::serve::{Client, ServerBuilder, TerrainSource};
 
     let scene = scene();
     let views = mixed_views(&scene);
     let session = scene.session();
     let solo: Vec<Report> = views.iter().map(|v| session.eval(v).unwrap()).collect();
 
-    let server = ServeBuilder::new()
-        .scene("t", &scene)
+    let server = ServerBuilder::new()
+        .terrain("t", TerrainSource::Tin(scene.shared_tin()))
         .workers(2)
         .max_batch(8)
-        .batch_window(std::time::Duration::from_millis(100))
         .bind("127.0.0.1:0")
         .unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
-    // Pipelined: the dispatcher groups compatible requests into batched
+    // Pipelined: the workers take compatible queued requests as batched
     // fan-outs (the naive and sequential views land in groups of their
     // own — different CompatKey).
     let results = client.eval_pipelined("t", &views).unwrap();

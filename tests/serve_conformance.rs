@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use terrain_hsr::core::view::Report;
 use terrain_hsr::geometry::Point3;
-use terrain_hsr::serve::ServeBuilder;
+use terrain_hsr::serve::{ServerBuilder, TerrainSource};
 use terrain_hsr::terrain::gen;
 use terrain_hsr::tiled::{TileStore, TilingConfig};
 use terrain_hsr::{SceneBuilder, TiledScene, TiledSceneConfig, View};
@@ -72,8 +72,8 @@ fn active_clients_stay_bit_identical_under_hundreds_of_idle_connections() {
     let session = scene.session();
     let expected: Vec<Report> = views.iter().map(|v| session.eval(v).unwrap()).collect();
 
-    let server = ServeBuilder::new()
-        .scene("mono", &scene)
+    let server = ServerBuilder::new()
+        .terrain("mono", TerrainSource::Tin(scene.shared_tin()))
         .shards(2)
         .workers(2)
         .queue_depth(128)
@@ -202,9 +202,9 @@ fn racing_clients_get_bit_identical_reports_on_both_backends() {
     assert_eq!(tiled_expected.verdicts, mono_expected[3].verdicts);
     drop(tiled);
 
-    let server = ServeBuilder::new()
-        .scene("mono", &scene)
-        .tiled_store("tiled", &dir, tiled_cfg)
+    let server = ServerBuilder::new()
+        .terrain("mono", TerrainSource::Tin(scene.shared_tin()))
+        .terrain("tiled", TerrainSource::TiledStore { dir: dir.clone(), config: tiled_cfg })
         .workers(3)
         .queue_depth(128)
         .bind("127.0.0.1:0")
@@ -225,7 +225,7 @@ fn racing_clients_get_bit_identical_reports_on_both_backends() {
             std::thread::spawn(move || {
                 let mut client = terrain_hsr::serve::Client::connect(addr).expect("connect");
                 // Interleave mono and tiled requests differently per
-                // client so the batches the dispatcher forms vary.
+                // client so the groups the workers take vary.
                 for round in 0..2 {
                     let i = (c + round) % mono_views.len();
                     let got = client.eval("mono", &mono_views[i]).expect("mono eval");
