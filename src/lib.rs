@@ -75,30 +75,7 @@
 //! requests with compatible configuration into one batched fan-out,
 //! reusing prepared scenes through an LRU spanning the monolithic and
 //! tiled backends, and rejecting (rather than buffering) load beyond its
-//! bounded admission queue. A built [`Scene`] is hosted by sharing its
-//! TIN:
-//!
-//! ```
-//! # #[cfg(feature = "serve")] {
-//! use terrain_hsr::serve::{Client, ServerBuilder, TerrainSource};
-//! use terrain_hsr::terrain::gen;
-//! use terrain_hsr::{SceneBuilder, View};
-//!
-//! let scene = SceneBuilder::from_grid(&gen::fbm(16, 16, 3, 7.0, 5)).build().unwrap();
-//! let server = ServerBuilder::new()
-//!     .terrain("demo", TerrainSource::Tin(scene.shared_tin()))
-//!     .workers(2)
-//!     .bind("127.0.0.1:0")
-//!     .unwrap();
-//!
-//! let mut client = Client::connect(server.local_addr()).unwrap();
-//! let report = client.eval("demo", &View::orthographic(0.2)).unwrap();
-//! // The served report is bit-identical to a local evaluation.
-//! let local = scene.session().eval(&View::orthographic(0.2)).unwrap();
-//! assert_eq!(report.k, local.k);
-//! server.shutdown();
-//! # }
-//! ```
+//! bounded admission queue.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -107,6 +84,28 @@ pub use hsr_core as core;
 pub use hsr_geometry as geometry;
 pub use hsr_pram as pram;
 pub use hsr_pstruct as pstruct;
+/// Serving: the `hsr-serve` crate. A built [`Scene`] is hosted by
+/// sharing its TIN:
+///
+/// ```
+/// use terrain_hsr::serve::{Client, ServerBuilder, TerrainSource};
+/// use terrain_hsr::terrain::gen;
+/// use terrain_hsr::{SceneBuilder, View};
+///
+/// let scene = SceneBuilder::from_grid(&gen::fbm(16, 16, 3, 7.0, 5)).build().unwrap();
+/// let server = ServerBuilder::new()
+///     .terrain("demo", TerrainSource::Tin(scene.shared_tin()))
+///     .workers(2)
+///     .bind("127.0.0.1:0")
+///     .unwrap();
+///
+/// let mut client = Client::connect(server.local_addr()).unwrap();
+/// let report = client.eval("demo", &View::orthographic(0.2)).unwrap();
+/// // The served report is bit-identical to a local evaluation.
+/// let local = scene.session().eval(&View::orthographic(0.2)).unwrap();
+/// assert_eq!(report.k, local.k);
+/// server.shutdown();
+/// ```
 #[cfg(feature = "serve")]
 pub use hsr_serve as serve;
 pub use hsr_terrain as terrain;
