@@ -15,12 +15,12 @@
 //! cost counters and, with `--json`, writes the per-workload reports to
 //! `BENCH_hotpath.json`.
 //!
-//! Since ISSUE 9 the binary doubles as the observability overhead gate:
-//! each workload's evaluation is re-timed with the full recording path
-//! active — a thread-local [`hsr_obs::SpanSink`] around the evaluation,
-//! one histogram sample, one trace-ring write — and must stay within
-//! 2% of the recorder-absent run (plus a 1 ms absolute allowance for
-//! timer noise on small workloads). `--json` writes the comparison to
+//! The binary doubles as the observability overhead gate: per workload,
+//! the recording path the server runs for each traced request — build
+//! the span tree with `evaluate_span`, one histogram sample, one
+//! trace-ring write — is timed on its own, interleaved with plain
+//! evaluations, and its best time must stay within 2% of the plain
+//! evaluation's best. `--json` writes the comparison to
 //! `BENCH_obs.json`.
 //!
 //! ```sh
@@ -31,10 +31,10 @@ use hsr_bench::harness::{md_table, reports_json, time_best};
 use hsr_core::envelope::{from_pieces_legacy, merge_pieces_legacy, Envelope, Piece};
 use hsr_core::order::depth_order;
 use hsr_core::project_edges;
-use hsr_core::view::{evaluate, Report, View};
+use hsr_core::view::{evaluate, evaluate_span, Report, View};
 use hsr_core::viewshed::{classify_points, classify_points_legacy};
 use hsr_geometry::Point3;
-use hsr_obs::{Recorder, RecorderConfig, SpanSink, TraceRecord};
+use hsr_obs::{Recorder, RecorderConfig, TraceRecord};
 use hsr_pram::cost::Category;
 use hsr_terrain::gen::Workload;
 
@@ -63,8 +63,8 @@ fn main() {
     let mut rows = Vec::new();
     let mut cmp_json = Vec::new();
 
-    // ISSUE 9 overhead gate: one recorder shared across workloads, the
-    // histogram `Arc` fetched once — exactly how the server holds them.
+    // Overhead gate: one recorder shared across workloads, the histogram
+    // `Arc` fetched once — exactly how the server holds them.
     let recorder = Recorder::new(RecorderConfig::default());
     let obs_hist = recorder.hist("evaluate");
     let mut obs_rows = Vec::new();
@@ -126,60 +126,47 @@ fn main() {
         let exact = res.cost.work_of(Category::PredicateExact);
         let hit = filtered as f64 / (filtered + exact).max(1) as f64;
 
-        // ISSUE 9: the recording path must be invisible next to the
-        // evaluation. The two variants are timed *interleaved* (one
-        // plain rep, one observed rep, repeat) and compared best vs
-        // best, so scheduler and thermal drift hit both sides alike —
-        // timing them as two separate best-of-N blocks 100s of ms apart
-        // shows multi-percent drift that has nothing to do with the
-        // recording path.
+        // The recording path must be invisible next to the evaluation.
+        // It is timed on its own, right after each plain evaluation
+        // whose report it records, and the two are compared best vs
+        // best. Timing the recording path alone keeps the host's
+        // speed-state swings (one op runs ~1.6× apart between states)
+        // out of a difference of two end-to-end timings.
         let view = View::orthographic(0.0);
-        let observed_rep = || {
-            let sink = SpanSink::new();
-            let guard = sink.install();
-            let report = evaluate(&tin, &view).unwrap();
-            drop(guard);
-            let mut spans = sink.take();
-            let root = spans
-                .pop()
-                .expect("evaluation emitted its span under a sink");
-            obs_hist.record(root.dur_ns);
-            recorder.record_trace(TraceRecord { id: 0, terrain: w.name(), root });
-            report.k
-        };
-        std::hint::black_box(evaluate(&tin, &view).unwrap().k);
-        std::hint::black_box(observed_rep());
-        let (mut t_plain, mut t_observed) = (f64::INFINITY, f64::INFINITY);
+        let (mut t_plain, mut t_record) = (f64::INFINITY, f64::INFINITY);
         for _ in 0..reps.max(7) {
             let t = std::time::Instant::now();
-            std::hint::black_box(evaluate(&tin, &view).unwrap().k);
+            let report = evaluate(&tin, &view).unwrap();
             t_plain = t_plain.min(t.elapsed().as_secs_f64());
             let t = std::time::Instant::now();
-            std::hint::black_box(observed_rep());
-            t_observed = t_observed.min(t.elapsed().as_secs_f64());
+            let root = evaluate_span(&report);
+            obs_hist.record(root.dur_ns);
+            recorder.record_trace(TraceRecord { id: 0, terrain: w.name(), root });
+            t_record = t_record.min(t.elapsed().as_secs_f64());
+            std::hint::black_box(report.k);
         }
-        let overhead = t_observed / t_plain - 1.0;
+        let overhead = t_record / t_plain;
         assert!(
-            t_observed <= t_plain * 1.02 + 1e-3,
-            "{}: recording overhead breaks the 2% budget: plain {:.3} ms, observed {:.3} ms",
+            t_record <= t_plain * 0.02,
+            "{}: recording costs more than 2% of an evaluation: plain {:.3} ms, record {:.4} ms",
             w.name(),
             t_plain * 1e3,
-            t_observed * 1e3,
+            t_record * 1e3,
         );
         obs_rows.push(vec![
             w.name(),
             format!("{:.2}", t_plain * 1e3),
-            format!("{:.2}", t_observed * 1e3),
-            format!("{:+.2}%", overhead * 100.0),
+            format!("{:.4}", t_record * 1e3),
+            format!("{:.3}%", overhead * 100.0),
         ]);
         obs_json.push(format!(
             concat!(
-                "{{\"workload\":\"{}\",\"plain_ms\":{:.4},\"observed_ms\":{:.4},",
-                "\"overhead\":{:.5}}}"
+                "{{\"workload\":\"{}\",\"plain_ms\":{:.4},\"record_ms\":{:.5},",
+                "\"overhead\":{:.6}}}"
             ),
             w.name(),
             t_plain * 1e3,
-            t_observed * 1e3,
+            t_record * 1e3,
             overhead,
         ));
 
@@ -239,8 +226,8 @@ fn main() {
     );
     println!("\nAll verdicts bit-identical between legacy and data-oriented kernels.");
 
-    println!("## E9 — observability overhead (span sink + histogram + trace ring)");
-    md_table(&["workload", "plain ms", "observed ms", "overhead"], &obs_rows);
+    println!("## E9 — observability overhead (span build + histogram + trace ring)");
+    md_table(&["workload", "plain ms", "record ms", "overhead"], &obs_rows);
     let obs_snap = recorder.snapshot();
     println!(
         "recorder after the run: {} evaluate samples, {} traces resident\n",
@@ -260,10 +247,10 @@ fn main() {
         );
         std::fs::write("BENCH_hotpath.json", out).expect("write bench json");
         println!("(wrote BENCH_hotpath.json)");
-        // The ISSUE 9 acceptance artifact: recorder-present vs
-        // recorder-absent evaluation, per workload, bounded at 2%.
+        // The overhead artifact: the recording path's best time against
+        // the plain evaluation's, per workload, bounded at 2%.
         let obs_out = format!(
-            "{{\"bound\":\"observed <= plain * 1.02 + 1ms\",\"overhead\":[{}]}}",
+            "{{\"bound\":\"record <= plain * 0.02\",\"overhead\":[{}]}}",
             obs_json.join(","),
         );
         std::fs::write("BENCH_obs.json", obs_out).expect("write obs json");

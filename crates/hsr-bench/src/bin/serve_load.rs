@@ -50,7 +50,7 @@ use hsr_core::view::View;
 use hsr_geometry::Point3;
 use hsr_obs::{HistSnapshot, Histogram, MetricsSnapshot, RecorderConfig, RELATIVE_ERROR};
 use hsr_serve::{
-    CatalogStats, Client, PreparedStats, ServeStats, Server, ServerBuilder, StatsSnapshot,
+    CacheStats, CatalogStats, Client, ServeStats, Server, ServerBuilder, StatsSnapshot,
     TerrainFormat, TerrainSource,
 };
 use hsr_terrain::{gen, io};
@@ -82,7 +82,7 @@ struct ScenarioReport {
     server: ServeStats,
     /// Prepared-scene counters scoped to this scenario (deltas), with
     /// `resident`/`peak_resident` as end-of-scenario snapshots.
-    prepared: PreparedStats,
+    prepared: CacheStats,
     /// Bench-side latency histogram (same log-linear layout the server
     /// records into, so the percentiles above are comparable to the
     /// server's `Request::Metrics` histograms within one bucket's
@@ -163,12 +163,12 @@ fn serve_delta(before: &StatsSnapshot, after: &StatsSnapshot) -> ServeStats {
     }
 }
 
-fn prepared_delta(before: &StatsSnapshot, after: &StatsSnapshot) -> PreparedStats {
+fn prepared_delta(before: &StatsSnapshot, after: &StatsSnapshot) -> CacheStats {
     let (b, a) = (&before.prepared, &after.prepared);
-    PreparedStats {
+    CacheStats {
         lookups: a.lookups - b.lookups,
         hits: a.hits - b.hits,
-        prepares: a.prepares - b.prepares,
+        loads: a.loads - b.loads,
         errors: a.errors - b.errors,
         evictions: a.evictions - b.evictions,
         invalidations: a.invalidations - b.invalidations,

@@ -45,7 +45,6 @@ impl Config {
                 "crates/hsr-serve/src/catalog.rs".into(),
                 // Observability record paths run inside every request.
                 "crates/hsr-obs/src/span.rs".into(),
-                "crates/hsr-obs/src/trace.rs".into(),
                 "crates/hsr-obs/src/hist.rs".into(),
                 // The scene cache sits on the tiled-eval hot path.
                 "crates/hsr-tile/src/cache.rs".into(),

@@ -1,7 +1,7 @@
 //! hsr-lint: workspace-invariant static analysis.
 //!
 //! The serving stack rests on hand-rolled concurrency invariants —
-//! Release/Acquire counter pipelines, an all-shard-lock LRU commit,
+//! Release/Acquire counter pipelines, a global lock order,
 //! non-blocking trace rings, a panic-free request path — that the
 //! compiler cannot check and PR review has already missed once (the PR-9
 //! torn-snapshot atomics bug). This crate re-checks them on every commit

@@ -6,8 +6,8 @@
 //!   argument lists (so `stream.read(&mut buf)` never matches), and calls
 //!   to the workspace's poison-tolerant helper `lock_unpoisoned(&m)`.
 //! * A lock's *class* is the trailing identifier of its receiver
-//!   (`self.prepare_locks.lock()` → `prepare_locks`), which names the
-//!   field rather than the instance — the right granularity for ordering.
+//!   (`self.state.lock()` → `state`), which names the field rather than
+//!   the instance — the right granularity for ordering.
 //! * `let`-bound guards are held to the end of the enclosing block;
 //!   expression temporaries to the end of the statement. Acquiring B
 //!   while A is held adds the edge A→B to the global graph.
@@ -17,8 +17,8 @@
 //!   whole collection into scope at once (`shards.iter().map(|m|
 //!   m.lock())...collect()`, or the point-free
 //!   `.map(lock_unpoisoned).collect()`), needs a `// lock-order:`
-//!   comment stating the canonical acquisition order (the all-shard LRU
-//!   commit acquires in index order).
+//!   comment stating the canonical acquisition order (e.g. ascending
+//!   index).
 
 use crate::config::Config;
 use crate::lexer::Tok;

@@ -1,6 +1,6 @@
 //! # hsr-obs — low-overhead observability for the HSR stack
 //!
-//! Three small, dependency-free pieces that the serving stack threads
+//! Small, dependency-free pieces that the serving stack threads
 //! together (this crate sits below `hsr-core`; it depends only on the
 //! serde shim):
 //!
@@ -14,10 +14,12 @@
 //!   with named histograms/counters, a recent-traces ring, a
 //!   slow-request capture ring, and a serde-round-trippable
 //!   [`MetricsSnapshot`].
-//! * [`trace`] — the **runtime off-switch**: a thread-local
-//!   [`SpanSink`] in the `CostCollector` mold. No sink installed means
-//!   emitters pay one thread-local read and do nothing else, so
-//!   observability is free when it is not wanted.
+//! * [`sync`] — [`lock_unpoisoned`], the workspace's poison-tolerant
+//!   lock helper.
+//!
+//! Recording is opt-in at the call site: the server builds a span tree
+//! from each finished report only when a [`Recorder`] is installed, so
+//! observability is free when it is not wanted.
 //!
 //! ```
 //! use hsr_obs::{Histogram, Recorder, RecorderConfig};
@@ -37,11 +39,9 @@
 pub mod hist;
 pub mod span;
 pub mod sync;
-pub mod trace;
 
 pub use hist::{HistSnapshot, Histogram, RELATIVE_ERROR};
 pub use span::{
     MetricsSnapshot, NamedCount, NamedHist, Recorder, RecorderConfig, SpanRecord, TraceRecord,
 };
 pub use sync::lock_unpoisoned;
-pub use trace::{is_active, record_span, SinkGuard, SpanSink};

@@ -168,9 +168,8 @@ impl Default for RecorderConfig {
 /// counters, a recent-traces ring, and a slow-traces ring.
 ///
 /// There is no global instance: a recorder exists only where something
-/// installed one (`Option<Arc<Recorder>>` on the server, a sink guard
-/// around an evaluation), mirroring the `CostCollector` off-switch — no
-/// recorder, no work.
+/// installed one (`Option<Arc<Recorder>>` on the server), mirroring the
+/// `CostCollector` off-switch — no recorder, no work.
 pub struct Recorder {
     hists: Mutex<BTreeMap<String, Arc<Histogram>>>,
     events: Mutex<BTreeMap<String, Arc<AtomicU64>>>,

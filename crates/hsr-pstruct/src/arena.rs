@@ -8,16 +8,8 @@
 //! and path-copy cloning on every touched node, none of which buys
 //! anything without persistence. [`ArenaTreap`] stores nodes in one
 //! contiguous `Vec` addressed by `u32` indices, mutates in place, and
-//! recycles removed slots through a free list.
-//!
-//! Persistence is still available *on demand* via **epoch-based version
-//! tagging**: every node records the epoch it was written in, and
-//! [`ArenaTreap::snapshot`] bumps the treap's epoch. Mutations after a
-//! snapshot copy-on-write any node tagged with an older epoch (the
-//! snapshot keeps its slots), while nodes written in the current epoch —
-//! unreachable from any snapshot by construction — keep mutating in place
-//! and return to the free list when removed. A treap that never snapshots
-//! therefore never copies a node and never leaks a slot.
+//! recycles removed slots through a free list, so it never copies a node
+//! and never leaks a slot.
 //!
 //! Both treap flavours derive node priorities from the same deterministic
 //! hash, so a given key set always produces the same canonical shape.
@@ -37,31 +29,8 @@ struct ANode<K, V> {
     key: K,
     value: V,
     prio: u64,
-    epoch: u32,
     left: u32,
     right: u32,
-}
-
-/// A read-only view of the treap as it was when [`ArenaTreap::snapshot`]
-/// was called; pass it to [`ArenaTreap::snapshot_iter`].
-#[derive(Clone, Copy, Debug)]
-pub struct Snapshot {
-    root: u32,
-    len: usize,
-}
-
-impl Snapshot {
-    /// Number of entries in the snapshotted version.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the snapshotted version was empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
 }
 
 /// A mutable ordered map backed by an index-linked treap in a contiguous
@@ -69,8 +38,7 @@ impl Snapshot {
 ///
 /// Same canonical shape per key set as [`crate::ptreap::PTreap`] (shared
 /// deterministic priorities), but nodes are plain `Vec` slots mutated in
-/// place — no `Arc`, no path copying — unless a [`ArenaTreap::snapshot`]
-/// pins older epochs (see the module docs).
+/// place — no `Arc`, no path copying.
 ///
 /// ```
 /// use hsr_pstruct::ArenaTreap;
@@ -78,26 +46,22 @@ impl Snapshot {
 /// let mut t: ArenaTreap<u32, &str> = ArenaTreap::new();
 /// t.insert(2, "b");
 /// t.insert(1, "a");
-/// let snap = t.snapshot();
 /// t.insert(3, "c");
 /// t.remove(&1);
 /// assert_eq!(t.len(), 2);
-/// // The snapshot still sees the old version.
-/// assert_eq!(snap.len(), 2);
-/// assert_eq!(t.snapshot_iter(&snap).map(|(k, _)| *k).collect::<Vec<_>>(), [1, 2]);
+/// assert_eq!(t.iter().map(|(k, _)| *k).collect::<Vec<_>>(), [2, 3]);
 /// assert_eq!(t.floor(&9), Some((&3, &"c")));
 /// ```
 pub struct ArenaTreap<K, V> {
     nodes: Vec<ANode<K, V>>,
     free: Vec<u32>,
     root: u32,
-    epoch: u32,
     len: usize,
 }
 
 impl<K, V> Default for ArenaTreap<K, V> {
     fn default() -> Self {
-        ArenaTreap { nodes: Vec::new(), free: Vec::new(), root: NIL, epoch: 0, len: 0 }
+        ArenaTreap { nodes: Vec::new(), free: Vec::new(), root: NIL, len: 0 }
     }
 }
 
@@ -124,28 +88,19 @@ impl<K: Ord + Hash + Clone, V: Clone> ArenaTreap<K, V> {
         self.len == 0
     }
 
-    /// Number of arena slots currently allocated (live + pinned by
-    /// snapshots + free-listed); a cache-footprint diagnostic.
+    /// Number of arena slots currently allocated (live + free-listed); a
+    /// cache-footprint diagnostic.
     #[inline]
     pub fn slots(&self) -> usize {
         self.nodes.len()
     }
 
-    /// Drops every entry, snapshot, and slot, keeping the allocation.
+    /// Drops every entry and slot, keeping the allocation.
     pub fn clear(&mut self) {
         self.nodes.clear();
         self.free.clear();
         self.root = NIL;
-        self.epoch = 0;
         self.len = 0;
-    }
-
-    /// Pins the current version and returns a handle for reading it.
-    /// Later mutations copy-on-write instead of touching pinned slots.
-    pub fn snapshot(&mut self) -> Snapshot {
-        let s = Snapshot { root: self.root, len: self.len };
-        self.epoch += 1;
-        s
     }
 
     #[inline]
@@ -171,33 +126,6 @@ impl<K: Ord + Hash + Clone, V: Clone> ArenaTreap<K, V> {
         }
     }
 
-    /// Returns a slot for `t` that is safe to mutate: `t` itself when it
-    /// was written in the current epoch, otherwise a copy-on-write clone
-    /// (the original stays for snapshots).
-    fn make_mut(&mut self, t: u32) -> u32 {
-        let n = self.node(t);
-        if n.epoch == self.epoch {
-            return t;
-        }
-        let copy = ANode {
-            key: n.key.clone(),
-            value: n.value.clone(),
-            prio: n.prio,
-            epoch: self.epoch,
-            left: n.left,
-            right: n.right,
-        };
-        self.alloc(copy)
-    }
-
-    /// Recycles `t` if no snapshot can reference it.
-    #[inline]
-    fn release(&mut self, t: u32) {
-        if self.nodes[t as usize].epoch == self.epoch {
-            self.free.push(t);
-        }
-    }
-
     /// Inserts `key → value`, returning the previous value if the key was
     /// present.
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
@@ -212,19 +140,16 @@ impl<K: Ord + Hash + Clone, V: Clone> ArenaTreap<K, V> {
 
     fn insert_at(&mut self, t: u32, key: K, value: V, prio: u64) -> (u32, Option<V>) {
         if t == NIL {
-            let id =
-                self.alloc(ANode { key, value, prio, epoch: self.epoch, left: NIL, right: NIL });
+            let id = self.alloc(ANode { key, value, prio, left: NIL, right: NIL });
             return (id, None);
         }
         match key.cmp(&self.node(t).key) {
             Ordering::Equal => {
-                let t = self.make_mut(t);
                 let old = std::mem::replace(&mut self.nodes[t as usize].value, value);
                 (t, Some(old))
             }
             Ordering::Less => {
                 let (l, old) = self.insert_at(self.node(t).left, key, value, prio);
-                let t = self.make_mut(t);
                 self.nodes[t as usize].left = l;
                 if self.node(l).prio > self.node(t).prio {
                     (self.rotate_right(t), old)
@@ -234,7 +159,6 @@ impl<K: Ord + Hash + Clone, V: Clone> ArenaTreap<K, V> {
             }
             Ordering::Greater => {
                 let (r, old) = self.insert_at(self.node(t).right, key, value, prio);
-                let t = self.make_mut(t);
                 self.nodes[t as usize].right = r;
                 if self.node(r).prio > self.node(t).prio {
                     (self.rotate_left(t), old)
@@ -246,11 +170,9 @@ impl<K: Ord + Hash + Clone, V: Clone> ArenaTreap<K, V> {
     }
 
     /// Right rotation about `t` (its left child becomes the root of the
-    /// subtree). Both touched nodes are already current-epoch: the child
-    /// was just returned by a mutating call.
+    /// subtree).
     fn rotate_right(&mut self, t: u32) -> u32 {
         let l = self.node(t).left;
-        let l = self.make_mut(l);
         self.nodes[t as usize].left = self.nodes[l as usize].right;
         self.nodes[l as usize].right = t;
         l
@@ -259,7 +181,6 @@ impl<K: Ord + Hash + Clone, V: Clone> ArenaTreap<K, V> {
     /// Left rotation about `t`.
     fn rotate_left(&mut self, t: u32) -> u32 {
         let r = self.node(t).right;
-        let r = self.make_mut(r);
         self.nodes[t as usize].right = self.nodes[r as usize].left;
         self.nodes[r as usize].left = t;
         r
@@ -283,13 +204,12 @@ impl<K: Ord + Hash + Clone, V: Clone> ArenaTreap<K, V> {
             Ordering::Equal => {
                 let value = self.node(t).value.clone();
                 let (left, right) = (self.node(t).left, self.node(t).right);
-                self.release(t);
+                self.free.push(t);
                 (self.join(left, right), Some(value))
             }
             Ordering::Less => {
                 let (l, old) = self.remove_at(self.node(t).left, key);
                 if old.is_some() {
-                    let t = self.make_mut(t);
                     self.nodes[t as usize].left = l;
                     (t, old)
                 } else {
@@ -299,7 +219,6 @@ impl<K: Ord + Hash + Clone, V: Clone> ArenaTreap<K, V> {
             Ordering::Greater => {
                 let (r, old) = self.remove_at(self.node(t).right, key);
                 if old.is_some() {
-                    let t = self.make_mut(t);
                     self.nodes[t as usize].right = r;
                     (t, old)
                 } else {
@@ -320,12 +239,10 @@ impl<K: Ord + Hash + Clone, V: Clone> ArenaTreap<K, V> {
         }
         if self.node(a).prio >= self.node(b).prio {
             let joined = self.join(self.node(a).right, b);
-            let a = self.make_mut(a);
             self.nodes[a as usize].right = joined;
             a
         } else {
             let joined = self.join(a, self.node(b).left);
-            let b = self.make_mut(b);
             self.nodes[b as usize].left = joined;
             b
         }
@@ -353,12 +270,10 @@ impl<K: Ord + Hash + Clone, V: Clone> ArenaTreap<K, V> {
         }
         if self.node(t).key < *key {
             let (l, r) = self.split(self.node(t).right, key);
-            let t = self.make_mut(t);
             self.nodes[t as usize].right = l;
             (t, r)
         } else {
             let (l, r) = self.split(self.node(t).left, key);
-            let t = self.make_mut(t);
             self.nodes[t as usize].left = r;
             (l, t)
         }
@@ -370,7 +285,7 @@ impl<K: Ord + Hash + Clone, V: Clone> ArenaTreap<K, V> {
             return 0;
         }
         let (l, r) = (self.node(t).left, self.node(t).right);
-        self.release(t);
+        self.free.push(t);
         1 + self.release_subtree(l) + self.release_subtree(r)
     }
 
@@ -439,14 +354,9 @@ impl<K: Ord + Hash + Clone, V: Clone> ArenaTreap<K, V> {
         }
     }
 
-    /// In-order iterator over the live version.
+    /// In-order iterator over the entries.
     pub fn iter(&self) -> Iter<'_, K, V> {
         Iter::new(self, self.root)
-    }
-
-    /// In-order iterator over a pinned version.
-    pub fn snapshot_iter(&self, s: &Snapshot) -> Iter<'_, K, V> {
-        Iter::new(self, s.root)
     }
 
     /// The values in key order (consumes the treap).
@@ -563,8 +473,7 @@ mod tests {
         }
     }
 
-    /// The free list keeps the arena from growing across churn when no
-    /// snapshot pins old versions.
+    /// The free list keeps the arena from growing across churn.
     #[test]
     fn slots_stay_bounded_without_snapshots() {
         let mut t: ArenaTreap<u64, u64> = ArenaTreap::new();
@@ -585,42 +494,6 @@ mod tests {
         }
         assert_eq!(t.len(), 64);
         assert!(t.slots() <= 3 * 64, "arena grew unbounded: {} slots for 64 keys", t.slots());
-    }
-
-    /// Snapshots keep seeing their version across arbitrary later
-    /// mutation; the live treap keeps agreeing with the model.
-    #[test]
-    fn snapshots_are_immutable_versions() {
-        let mut t: ArenaTreap<u64, u64> = ArenaTreap::new();
-        for k in 0..32u64 {
-            t.insert(k, k);
-        }
-        let snap1 = t.snapshot();
-        for k in 0..32u64 {
-            if k % 2 == 0 {
-                t.remove(&k);
-            } else {
-                t.insert(k, k + 100);
-            }
-        }
-        let snap2 = t.snapshot();
-        for k in 100..140u64 {
-            t.insert(k, k);
-        }
-        // snap1: keys 0..32, original values.
-        let v1: Vec<_> = t.snapshot_iter(&snap1).map(|(k, v)| (*k, *v)).collect();
-        assert_eq!(v1, (0..32u64).map(|k| (k, k)).collect::<Vec<_>>());
-        // snap2: odd keys only, bumped values.
-        let v2: Vec<_> = t.snapshot_iter(&snap2).map(|(k, v)| (*k, *v)).collect();
-        assert_eq!(
-            v2,
-            (0..32u64)
-                .filter(|k| k % 2 == 1)
-                .map(|k| (k, k + 100))
-                .collect::<Vec<_>>()
-        );
-        assert_eq!(snap1.len(), 32);
-        assert_eq!(t.len(), 16 + 40);
     }
 
     /// Same key set → same shape as the persistent treap (shared

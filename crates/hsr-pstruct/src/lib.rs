@@ -14,9 +14,8 @@
 //!   model (a no-op unless the caller installed a `CostCollector`).
 //! * [`arena::ArenaTreap`] — the mutable, arena-backed sibling for
 //!   single-version working sets (phase-1 builds, profile sweeps): nodes in
-//!   a contiguous `Vec` addressed by `u32` indices, in-place mutation, a
-//!   free list, and epoch-based version tagging so snapshots can still pin
-//!   old versions via copy-on-write. Slot writes charge
+//!   a contiguous `Vec` addressed by `u32` indices, in-place mutation and
+//!   a free list. Slot writes charge
 //!   `Category::TreapArena`, keeping the two representations separable in
 //!   cost reports.
 //! * [`stats`] — version-sharing statistics: how many distinct nodes back a
@@ -30,6 +29,6 @@ pub mod arena;
 pub mod ptreap;
 pub mod stats;
 
-pub use arena::{ArenaTreap, Snapshot};
+pub use arena::ArenaTreap;
 pub use ptreap::{det_prio, Aggregate, CountAgg, NoAgg, NodeHandle, PTreap};
 pub use stats::SharingStats;

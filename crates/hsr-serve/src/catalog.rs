@@ -1,36 +1,25 @@
-//! Hosted terrains and the sharded prepared-scene LRU.
+//! Hosted terrains and the prepared-scene LRU.
 //!
 //! The server is configured with a catalog of named [`TerrainSource`]s.
 //! A source is cheap to hold (a heightfield grid, a shared TIN, or just
 //! the path of a materialized tile store); what evaluation needs is a
 //! *prepared* scene — a validated TIN with its adjacency, or an opened
 //! [`TiledScene`] with its resident-tile cache. Preparation is the
-//! expensive step, so prepared scenes are reused through a hard-capped
-//! LRU keyed by terrain name ([`PreparedCache`]), with the same commit
-//! discipline as the tile cache underneath: an eviction only commits
-//! alongside a successful prepare, so a transient failure never shrinks
-//! what is resident.
-//!
-//! The cache is **sharded by terrain name** so independent terrains
-//! never contend: hits take exactly one per-shard bookkeeping lock, and
-//! prepares serialize only per terrain (one slow tiled-store open no
-//! longer stalls preparing an unrelated grid). The LRU capacity stays
-//! *global* — the rare evict+insert commit briefly takes every shard
-//! lock in index order, which is what keeps `peak_resident ≤ capacity`
-//! an exact invariant rather than a per-shard approximation.
+//! expensive step, so prepared scenes are reused through
+//! [`PreparedCache`]: terrain resolution around the same bounded
+//! [`Lru`] the tile cache uses, keyed by terrain name. A prepare runs
+//! outside the cache lock, so it never blocks hits on other terrains,
+//! and a failed prepare evicts nothing.
 
-use hsr_catalog::{Catalog, TerrainFormat, TerrainInfo};
+use hsr_catalog::{Catalog, TerrainFormat};
 use hsr_core::error::HsrError;
 use hsr_core::view::{evaluate_batch, Report, View};
-use hsr_obs::lock_unpoisoned;
 use hsr_terrain::io::from_obj;
 use hsr_terrain::{GridTerrain, Tin};
-use hsr_tile::{CacheStats, TileStore, TiledScene, TiledSceneConfig};
+use hsr_tile::{CacheStats, Lru, TileStore, TiledScene, TiledSceneConfig};
 use std::collections::HashMap;
-use std::hash::{Hash as _, Hasher as _};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 use crate::protocol::{ErrorKind, WireError};
 
@@ -130,131 +119,35 @@ fn eval_error(e: HsrError) -> WireError {
     WireError::new(ErrorKind::Eval, e.to_string())
 }
 
-/// Prepared-scene cache counters; `hits + prepares + errors == lookups`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct PreparedStats {
-    /// Calls to [`PreparedCache::get_or_prepare`].
-    pub lookups: u64,
-    /// Lookups served from a resident prepared scene.
-    pub hits: u64,
-    /// Scenes prepared from their source (successful misses).
-    pub prepares: u64,
-    /// Lookups that failed: unknown terrain or a failed prepare. A
-    /// failed prepare commits nothing — no eviction, no residency
-    /// change.
-    pub errors: u64,
-    /// Prepared scenes dropped to make room.
-    pub evictions: u64,
-    /// Prepared scenes dropped because their terrain was overwritten or
-    /// deleted ([`PreparedCache::invalidate`]) — counted separately from
-    /// capacity `evictions`.
-    pub invalidations: u64,
-    /// Prepared scenes resident right now.
-    pub resident: usize,
-    /// High-water mark of `resident` — proves the cap held.
-    pub peak_resident: usize,
-}
-
-struct PreparedEntry {
-    scene: PreparedScene,
-    last_use: u64,
-}
-
-/// Lock-free counter cells behind [`PreparedStats`] snapshots. Each
-/// `get_or_prepare` increments `lookups` once (first, program order) and
-/// exactly one of `hits`/`prepares`/`errors` afterwards, with the
-/// outcome increments using `Release`. [`PreparedCache::stats`] reads
-/// the outcome counters (`Acquire`) *before* `lookups`, so the ISSUE-9
-/// snapshot contract holds in **every** snapshot, not just at
-/// quiescence: all counters are monotonic, and
-/// `hits + prepares + errors ≤ lookups` — observing an outcome implies
-/// observing its lookup (equality once calls in flight finish).
-#[derive(Default)]
-struct StatCells {
-    lookups: AtomicU64,
-    hits: AtomicU64,
-    prepares: AtomicU64,
-    errors: AtomicU64,
-    evictions: AtomicU64,
-    invalidations: AtomicU64,
-    resident: AtomicUsize,
-    peak_resident: AtomicUsize,
-}
-
-/// Event counters in an attached [`hsr_obs::Recorder`], resolved once at
-/// attach time so the hot path pays plain atomic adds (no registry
-/// lookup). Mirrors the cache's own [`StatCells`] into the shared
-/// observability snapshot.
-struct PrepObs {
-    recorder: Arc<hsr_obs::Recorder>,
-    hit: Arc<AtomicU64>,
-    prepare: Arc<AtomicU64>,
-    error: Arc<AtomicU64>,
-    evict: Arc<AtomicU64>,
-    invalidate: Arc<AtomicU64>,
-}
-
-/// How many bookkeeping shards the cache spreads terrain names over.
-/// Small and fixed: the point is that *distinct hot terrains* land on
-/// distinct locks with high probability, not a per-core partition.
-const CACHE_SHARDS: usize = 8;
-
-/// A hard-capped, sharded LRU of prepared scenes keyed by terrain name.
+/// Hosted terrains resolved on demand into prepared scenes, kept in a
+/// hard-capped [`Lru`] keyed by terrain name.
 ///
-/// Unlike the tile cache there is no pinning: an in-flight evaluation
-/// holds its own `Arc` to the scene it is using, so eviction never
-/// interrupts work — the cap bounds how many prepared scenes the cache
-/// *retains* for reuse. With capacity 1 and two hot terrains the service
-/// still answers correctly; it just re-prepares on each alternation
-/// (the concurrency tests pin this behavior down).
-///
-/// Concurrency structure (ISSUE 6):
-/// * **hits** lock exactly one shard (terrains on different shards never
-///   contend);
-/// * **prepares** serialize per terrain — one `Mutex` per registered
-///   name — so a slow tiled-store open does not stall preparing an
-///   unrelated grid (two callers racing for the *same* terrain still
-///   dedupe: the loser re-checks and hits);
-/// * the **evict+insert commit** takes all shard locks in index order,
-///   keeping the global `peak_resident ≤ capacity` invariant exact.
-///   Commits are rare (successful misses only) and brief (map ops, no
-///   I/O).
+/// Nothing is pinned: an in-flight evaluation holds its own `Arc` to the
+/// scene it is using, so eviction never interrupts work, and the cap
+/// bounds how many prepared scenes the cache *retains* for reuse. With
+/// capacity 1 and two hot terrains the service still answers correctly;
+/// it just re-prepares on each alternation (the concurrency tests pin
+/// this behavior down).
 pub struct PreparedCache {
-    capacity: usize,
     sources: HashMap<String, TerrainSource>,
     /// Catalog fallback: names not in `sources` resolve here, so newly
     /// uploaded terrains become servable without reconfiguration.
     catalog: Option<Arc<Catalog>>,
-    shards: Vec<Mutex<HashMap<String, PreparedEntry>>>,
-    /// One prepare lock per terrain name, created on first use (catalog
-    /// entries appear at runtime, so the map itself is locked; the
-    /// per-name locks are `Arc`ed out so the map lock is never held
-    /// across a prepare).
-    prepare_locks: Mutex<HashMap<String, Arc<Mutex<()>>>>,
-    /// Global recency clock for the cross-shard LRU ordering.
-    tick: AtomicU64,
-    stats: StatCells,
-    /// Observability mirror (`scene_*` events), when a recorder is
-    /// attached. `None` means lookups pay nothing — the off-switch.
-    obs: Option<PrepObs>,
+    scenes: Lru<String, PreparedScene>,
+    /// Attached to every tiled scene this cache prepares, so their
+    /// resident-tile caches report into the same snapshot.
+    recorder: Option<Arc<hsr_obs::Recorder>>,
 }
 
 impl PreparedCache {
     /// A cache over `sources` retaining at most `capacity` prepared
     /// scenes (≥ 1).
     pub fn new(capacity: usize, sources: HashMap<String, TerrainSource>) -> PreparedCache {
-        assert!(capacity >= 1, "prepared-scene capacity must be ≥ 1");
         PreparedCache {
-            capacity,
             sources,
             catalog: None,
-            shards: (0..CACHE_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-            prepare_locks: Mutex::new(HashMap::new()),
-            tick: AtomicU64::new(0),
-            stats: StatCells::default(),
-            obs: None,
+            scenes: Lru::new(capacity, |_| true),
+            recorder: None,
         }
     }
 
@@ -266,18 +159,12 @@ impl PreparedCache {
     }
 
     /// Mirrors this cache's activity into `recorder` as `scene_*` event
-    /// counters (hit/prepare/error/evict/invalidate), and attaches the
+    /// counters (hit/load/error/evict/invalidate), and attaches the
     /// recorder to every tiled scene it prepares so their resident-tile
     /// caches report `tile_*` events into the same snapshot.
     pub fn with_recorder(mut self, recorder: Arc<hsr_obs::Recorder>) -> PreparedCache {
-        self.obs = Some(PrepObs {
-            hit: recorder.counter("scene_hit"),
-            prepare: recorder.counter("scene_prepare"),
-            error: recorder.counter("scene_error"),
-            evict: recorder.counter("scene_evict"),
-            invalidate: recorder.counter("scene_invalidate"),
-            recorder,
-        });
+        self.scenes.attach_recorder(&recorder, "scene");
+        self.recorder = Some(recorder);
         self
     }
 
@@ -298,260 +185,75 @@ impl PreparedCache {
         names
     }
 
-    /// Current counters. Read order matters (ISSUE 9): the outcome
-    /// counters are read (`Acquire`) **before** `lookups`, and writers
-    /// publish each outcome (`Release`) *after* its lookup, so every
-    /// snapshot — even one racing live traffic — satisfies
-    /// `hits + prepares + errors ≤ lookups`, with equality at
-    /// quiescence. All counters are monotonic.
-    pub fn stats(&self) -> PreparedStats {
-        // ordering: Acquire — outcome counters are read before
-        // `lookups` and pair with each writer's Release-after-lookup,
-        // keeping `hits + prepares + errors <= lookups` in every
-        // snapshot.
-        let hits = self.stats.hits.load(Ordering::Acquire);
-        // ordering: Acquire, as `hits` above.
-        let prepares = self.stats.prepares.load(Ordering::Acquire);
-        // ordering: Acquire, as `hits` above.
-        let errors = self.stats.errors.load(Ordering::Acquire);
-        PreparedStats {
-            // ordering: Acquire keeps `lookups` no older than the
-            // outcome counters read above.
-            lookups: self.stats.lookups.load(Ordering::Acquire),
-            hits,
-            prepares,
-            errors,
-            // ordering: Relaxed — advisory gauges and tallies, each
-            // read in isolation; nothing is ordered against them.
-            evictions: self.stats.evictions.load(Ordering::Relaxed),
-            invalidations: self.stats.invalidations.load(Ordering::Relaxed),
-            resident: self.stats.resident.load(Ordering::Relaxed),
-            peak_resident: self.stats.peak_resident.load(Ordering::Relaxed),
-        }
+    /// Current counters.
+    pub fn stats(&self) -> CacheStats {
+        self.scenes.stats()
     }
 
     /// The resident-tile cache counters of `name`, if that terrain is
     /// currently resident on the tiled backend. A pure peek: touches
     /// neither the LRU recency nor the lookup counters.
     pub fn tile_cache_stats(&self, name: &str) -> Option<CacheStats> {
-        let shard = lock_unpoisoned(&self.shards[self.shard_of(name)]);
-        shard
-            .get(name)
-            .and_then(|entry| entry.scene.tile_cache_stats())
-    }
-
-    fn shard_of(&self, name: &str) -> usize {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        name.hash(&mut hasher);
-        (hasher.finish() as usize) % self.shards.len()
+        self.scenes
+            .peek(name)
+            .and_then(|scene| scene.tile_cache_stats())
     }
 
     /// Returns the prepared scene for `name`, preparing it from its
-    /// source on a miss. The eviction only commits together with the
-    /// successful insert, under one all-shard lock acquisition: a
-    /// failed prepare changes nothing but the `errors` counter, and
-    /// `resident` never exceeds the capacity (the freshly prepared
-    /// scene coexists with its victim only outside the maps, briefly).
+    /// source on a miss (see [`Lru::get_or_load`]: a failed prepare
+    /// evicts nothing, and racing lookups of one terrain prepare it
+    /// once).
     pub fn get_or_prepare(&self, name: &str) -> Result<PreparedScene, WireError> {
         self.get_or_prepare_traced(name).0
     }
 
-    /// [`PreparedCache::get_or_prepare`] plus the lookup's outcome —
-    /// whether the scene was served resident (`true`) or had to be
-    /// prepared (`false`; also `false` on error). The serving layer uses
-    /// this to land the lookup latency in the right stage histogram.
+    /// [`PreparedCache::get_or_prepare`] plus whether this lookup was
+    /// served without preparing (`true`; `false` also on error). The
+    /// serving layer uses this to land the lookup latency in the right
+    /// stage histogram.
     pub fn get_or_prepare_traced(&self, name: &str) -> (Result<PreparedScene, WireError>, bool) {
-        if let Some(hit) = self.lookup(name, true) {
-            return (Ok(hit), true);
-        }
-        (self.prepare_missing(name), false)
-    }
-
-    /// The miss path of [`PreparedCache::get_or_prepare_traced`]: the
-    /// first shard-locked lookup already failed and was counted.
-    fn prepare_missing(&self, name: &str) -> Result<PreparedScene, WireError> {
-        let from_catalog = !self.sources.contains_key(name);
-        if from_catalog && self.catalog.as_ref().and_then(|c| c.get(name)).is_none() {
-            // ordering: Release publishes the outcome after its lookup
-            // so `stats()` keeps `hits + prepares + errors <= lookups`.
-            self.stats.errors.fetch_add(1, Ordering::Release);
-            if let Some(obs) = &self.obs {
-                // ordering: Release pairs with the Acquire reads of the
-                // Metrics endpoint snapshot.
-                obs.error.fetch_add(1, Ordering::Release);
-            }
-            return Err(WireError::new(
-                ErrorKind::UnknownTerrain,
-                format!("no terrain named `{name}` is registered"),
-            ));
-        };
-        let preparing = {
-            let mut locks = lock_unpoisoned(&self.prepare_locks);
-            Arc::clone(locks.entry(name.to_string()).or_default())
-        };
-        let _preparing = lock_unpoisoned(&preparing);
-        // Someone else may have prepared `name` while we waited.
-        if let Some(hit) = self.lookup(name, false) {
-            return Ok(hit);
-        }
-        let prepared = match self.catalog.as_ref().filter(|_| from_catalog) {
-            // Re-read under the prepare lock: the entry decides *which
-            // content* this prepare serves. (A concurrent overwrite can
-            // still land between this read and the commit below; its
-            // invalidation may then evict a just-stale scene one lookup
-            // late — benign, the next lookup re-prepares fresh.)
-            Some(catalog) => match catalog.get(name) {
-                Some(info) => prepare_from_catalog(catalog, &info),
-                None => Err(WireError::new(
-                    ErrorKind::UnknownTerrain,
-                    format!("no terrain named `{name}` is registered"),
-                )),
-            },
-            // `!from_catalog` means the first lookup saw `name` in the
-            // static sources; `get` instead of indexing keeps the path
-            // panic-free regardless.
-            None => match self.sources.get(name) {
-                Some(source) => prepare(source),
-                None => Err(WireError::new(
-                    ErrorKind::UnknownTerrain,
-                    format!("no terrain named `{name}` is registered"),
-                )),
-            },
-        };
-        let scene = match prepared {
-            Ok(scene) => scene,
-            Err(e) => {
-                // ordering: Release publishes the outcome after its
-                // lookup (see `stats`).
-                self.stats.errors.fetch_add(1, Ordering::Release);
-                if let Some(obs) = &self.obs {
-                    // ordering: Release pairs with the Acquire reads of
-                    // the Metrics endpoint snapshot.
-                    obs.error.fetch_add(1, Ordering::Release);
-                }
-                return Err(e);
-            }
-        };
-        if let (PreparedScene::Tiled(tiled), Some(obs)) = (&scene, &self.obs) {
-            tiled.attach_recorder(&obs.recorder);
-        }
-        // Commit: evict and insert atomically under every shard lock.
-        // lock-order: all `shards` guards, ascending shard index; no
-        // other path holds two shard locks at once, so the ordering is
-        // trivially deadlock-free.
-        let mut guards: Vec<MutexGuard<'_, HashMap<String, PreparedEntry>>> =
-            self.shards.iter().map(lock_unpoisoned).collect();
-        let mut resident: usize = guards.iter().map(|g| g.len()).sum();
-        while resident >= self.capacity {
-            // `resident > 0` here, so some map is non-empty and a
-            // victim exists; `None` could only mean the count and the
-            // maps disagree, in which case stop evicting rather than
-            // panic a worker thread mid-commit.
-            let victim = guards
-                .iter()
-                .enumerate()
-                .flat_map(|(s, g)| g.iter().map(move |(k, e)| (e.last_use, s, k.clone())))
-                .min();
-            let Some((_, shard, key)) = victim else { break };
-            if guards[shard].remove(&key).is_none() {
-                break;
-            }
-            resident -= 1;
-            // ordering: Relaxed — advisory eviction tally, read in
-            // isolation by `stats()`.
-            self.stats.evictions.fetch_add(1, Ordering::Relaxed);
-            if let Some(obs) = &self.obs {
-                // ordering: Release pairs with the Acquire reads of the
-                // Metrics endpoint snapshot.
-                obs.evict.fetch_add(1, Ordering::Release);
-            }
-        }
-        // ordering: Relaxed — `tick` needs only uniqueness and
-        // monotonicity, which the atomic RMW provides by itself.
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        guards[self.shard_of(name)]
-            .insert(name.to_string(), PreparedEntry { scene: scene.clone(), last_use: tick });
-        resident += 1;
-        // ordering: Release publishes the outcome after its lookup so
-        // `stats()` keeps `hits + prepares + errors <= lookups`.
-        self.stats.prepares.fetch_add(1, Ordering::Release);
-        if let Some(obs) = &self.obs {
-            // ordering: Release pairs with the Acquire reads of the
-            // Metrics endpoint snapshot.
-            obs.prepare.fetch_add(1, Ordering::Release);
-        }
-        // ordering: Relaxed — advisory gauge, read in isolation.
-        self.stats.resident.store(resident, Ordering::Relaxed);
-        // ordering: Relaxed — advisory high-water mark; the RMW keeps
-        // it exact without ordering anything else.
-        self.stats
-            .peak_resident
-            .fetch_max(resident, Ordering::Relaxed);
-        Ok(scene)
+        let mut prepared = false;
+        let result = self.scenes.get_or_load(name, || {
+            prepared = true;
+            self.prepare_named(name)
+        });
+        // Every prepared scene is evictable, so the cache never refuses.
+        let result = result.unwrap_or_else(|| {
+            Err(WireError::new(ErrorKind::Prepare, "prepared-scene cache refused the lookup"))
+        });
+        (result, !prepared)
     }
 
     /// Drops exactly `name`'s prepared scene (if resident), so the next
     /// lookup re-prepares from the terrain's current source — the hook
     /// the server calls when a cataloged terrain is overwritten or
     /// deleted. Other residents are untouched. For a tiled terrain the
-    /// dropped [`TiledScene`] takes its resident-tile `SceneCache` with
-    /// it (in-flight evaluations holding the `Arc` finish against the
-    /// old content, then the memory goes). Returns whether anything was
+    /// dropped [`TiledScene`] takes its resident-tile cache with it
+    /// (in-flight evaluations holding the `Arc` finish against the old
+    /// content, then the memory goes). Returns whether anything was
     /// resident.
     pub fn invalidate(&self, name: &str) -> bool {
-        // All shard locks, like the commit path: keeps the `resident`
-        // gauge exact against a racing evict+insert.
-        // lock-order: all `shards` guards, ascending shard index — the
-        // same canonical order as the commit path.
-        let mut guards: Vec<MutexGuard<'_, HashMap<String, PreparedEntry>>> =
-            self.shards.iter().map(lock_unpoisoned).collect();
-        let dropped = guards[self.shard_of(name)].remove(name).is_some();
-        if dropped {
-            let resident: usize = guards.iter().map(|g| g.len()).sum();
-            // ordering: Relaxed — advisory tally, read in isolation.
-            self.stats.invalidations.fetch_add(1, Ordering::Relaxed);
-            if let Some(obs) = &self.obs {
-                // ordering: Release pairs with the Acquire reads of the
-                // Metrics endpoint snapshot.
-                obs.invalidate.fetch_add(1, Ordering::Release);
-            }
-            // ordering: Relaxed — advisory gauge, read in isolation.
-            self.stats.resident.store(resident, Ordering::Relaxed);
-        }
-        dropped
+        self.scenes.invalidate(name)
     }
 
-    /// One shard-locked hit-check. `first` marks the initial lookup of a
-    /// `get_or_prepare` call (counted in `lookups`); the re-check after
-    /// waiting on the prepare lock is not a new lookup, but a hit there
-    /// still counts as a hit so `hits + prepares + errors == lookups`
-    /// stays exact.
-    fn lookup(&self, name: &str, first: bool) -> Option<PreparedScene> {
-        let mut shard = lock_unpoisoned(&self.shards[self.shard_of(name)]);
-        if first {
-            // ordering: Relaxed — the Release on whichever outcome
-            // counter ends this lookup publishes the increment before a
-            // `stats()` Acquire can observe that outcome.
-            // lint: allow(atomic-pair): the `stats()` Acquire read
-            // pairs with that trailing outcome-counter Release, not
-            // with this increment directly.
-            self.stats.lookups.fetch_add(1, Ordering::Relaxed);
+    /// Resolves `name` and prepares it. A static source wins; any other
+    /// name resolves through the catalog, whose current entry decides
+    /// which content is prepared.
+    fn prepare_named(&self, name: &str) -> Result<PreparedScene, WireError> {
+        let scene = match (self.sources.get(name), &self.catalog) {
+            (Some(source), _) => prepare(source),
+            (None, Some(catalog)) => prepare_from_catalog(catalog, name),
+            (None, None) => Err(unknown_terrain(name)),
+        }?;
+        if let (PreparedScene::Tiled(tiled), Some(recorder)) = (&scene, &self.recorder) {
+            tiled.attach_recorder(recorder);
         }
-        let entry = shard.get_mut(name)?;
-        // ordering: Relaxed — `tick` needs only uniqueness and
-        // monotonicity, which the atomic RMW provides by itself.
-        entry.last_use = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        let scene = entry.scene.clone();
-        // ordering: Release so a `stats()` snapshot that observes this
-        // hit also observes the lookup increment above (see `stats`).
-        self.stats.hits.fetch_add(1, Ordering::Release);
-        if let Some(obs) = &self.obs {
-            // ordering: Release pairs with the Acquire reads of the
-            // Metrics endpoint snapshot.
-            obs.hit.fetch_add(1, Ordering::Release);
-        }
-        Some(scene)
+        Ok(scene)
     }
+}
+
+fn unknown_terrain(name: &str) -> WireError {
+    WireError::new(ErrorKind::UnknownTerrain, format!("no terrain named `{name}` is registered"))
 }
 
 fn prepare(source: &TerrainSource) -> Result<PreparedScene, WireError> {
@@ -562,13 +264,7 @@ fn prepare(source: &TerrainSource) -> Result<PreparedScene, WireError> {
             .map_err(|e| WireError::new(ErrorKind::Prepare, e.to_string())),
         TerrainSource::Tin(tin) => Ok(PreparedScene::Monolithic(Arc::clone(tin))),
         TerrainSource::TiledStore { dir, config } => open_tiled(dir, *config),
-        TerrainSource::Catalog { catalog, name } => match catalog.get(name) {
-            Some(info) => prepare_from_catalog(catalog, &info),
-            None => Err(WireError::new(
-                ErrorKind::UnknownTerrain,
-                format!("no terrain named `{name}` is registered"),
-            )),
-        },
+        TerrainSource::Catalog { catalog, name } => prepare_from_catalog(catalog, name),
     }
 }
 
@@ -582,11 +278,12 @@ fn open_tiled(dir: &std::path::Path, config: TiledSceneConfig) -> Result<Prepare
         .map(|scene| PreparedScene::Tiled(Arc::new(scene)))
 }
 
-/// Materializes a catalog entry into a prepared scene: decode the blob
-/// per its registered format (lazily building the tile pyramid for
-/// `TiledGrid` entries — one pyramid per content hash, shared by deduped
-/// uploads).
-fn prepare_from_catalog(catalog: &Catalog, info: &TerrainInfo) -> Result<PreparedScene, WireError> {
+/// Materializes the catalog entry `name`, as it is now, into a prepared
+/// scene: decode the blob per its registered format (lazily building the
+/// tile pyramid for `TiledGrid` entries — one pyramid per content hash,
+/// shared by deduped uploads).
+fn prepare_from_catalog(catalog: &Catalog, name: &str) -> Result<PreparedScene, WireError> {
+    let info = catalog.get(name).ok_or_else(|| unknown_terrain(name))?;
     let prep = |what: String| WireError::new(ErrorKind::Prepare, what);
     match info.format {
         TerrainFormat::GridBin => {
@@ -611,7 +308,7 @@ fn prepare_from_catalog(catalog: &Catalog, info: &TerrainInfo) -> Result<Prepare
         }
         TerrainFormat::TiledGrid { .. } => {
             let dir = catalog
-                .ensure_pyramid(info)
+                .ensure_pyramid(&info)
                 .map_err(|e| prep(e.to_string()))?;
             open_tiled(&dir, TiledSceneConfig::default())
         }
@@ -646,9 +343,9 @@ mod tests {
         }
         cache.get_or_prepare("b").unwrap(); // hit
         let s = cache.stats();
-        assert_eq!((s.lookups, s.hits, s.prepares, s.evictions), (7, 1, 6, 5));
+        assert_eq!((s.lookups, s.hits, s.loads, s.evictions), (7, 1, 6, 5));
         assert_eq!((s.resident, s.peak_resident), (1, 1));
-        assert_eq!(s.hits + s.prepares + s.errors, s.lookups);
+        assert_eq!(s.hits + s.loads + s.errors, s.lookups);
     }
 
     #[test]
@@ -660,8 +357,8 @@ mod tests {
         assert_eq!(err.kind, ErrorKind::Prepare);
         let after = cache.stats();
         assert_eq!(
-            (after.resident, after.evictions, after.prepares),
-            (before.resident, before.evictions, before.prepares)
+            (after.resident, after.evictions, after.loads),
+            (before.resident, before.evictions, before.loads)
         );
         assert_eq!(after.errors, before.errors + 1);
         // `a` is still resident.
@@ -682,10 +379,10 @@ mod tests {
             t.join().unwrap();
         }
         let s = cache.stats();
-        // The per-terrain prepare lock dedupes: one prepare, the rest
-        // hit either on first lookup or on the post-lock re-check.
-        assert_eq!(s.prepares, 1, "{s:?}");
-        assert_eq!(s.hits + s.prepares + s.errors, s.lookups);
+        // The in-flight mark dedupes: one prepare, the rest hit either on
+        // first lookup or after waiting for that prepare.
+        assert_eq!(s.loads, 1, "{s:?}");
+        assert_eq!(s.hits + s.loads + s.errors, s.lookups);
         assert_eq!((s.resident, s.peak_resident), (1, 1));
     }
 
@@ -703,17 +400,18 @@ mod tests {
             t.join().unwrap();
         }
         let s = cache.stats();
-        assert_eq!((s.prepares, s.resident), (2, 2), "{s:?}");
+        assert_eq!((s.loads, s.resident), (2, 2), "{s:?}");
         assert!(s.peak_resident <= 2, "commit must stay under the cap: {s:?}");
-        assert_eq!(s.hits + s.prepares + s.errors, s.lookups);
+        assert_eq!(s.hits + s.loads + s.errors, s.lookups);
     }
 
     /// ISSUE-9 satellite regression: snapshots used to read each atomic
     /// independently, so a scrape racing live traffic could observe an
     /// outcome before its lookup and report
-    /// `hits + prepares + errors > lookups` over the wire. The
-    /// Release-outcomes / outcomes-before-lookups read order makes the
-    /// ≤ invariant hold in every snapshot; this hammers it.
+    /// `hits + loads + errors > lookups` over the wire. Every counter
+    /// now changes under the cache's one lock and `stats()` copies them
+    /// under it, so the ≤ invariant holds in every snapshot; this
+    /// hammers it.
     #[test]
     fn stats_invariant_holds_in_every_snapshot_under_hammering() {
         let cache = std::sync::Arc::new(PreparedCache::new(1, sources()));
@@ -740,13 +438,13 @@ mod tests {
             let (cache, stop) = (std::sync::Arc::clone(&cache), std::sync::Arc::clone(&stop));
             std::thread::spawn(move || {
                 let mut samples = 0u64;
-                let mut prev = PreparedStats::default();
+                let mut prev = CacheStats::default();
                 while !stop.load(std::sync::atomic::Ordering::Acquire) {
                     let s = cache.stats();
-                    assert!(s.hits + s.prepares + s.errors <= s.lookups, "torn snapshot: {s:?}");
+                    assert!(s.hits + s.loads + s.errors <= s.lookups, "torn snapshot: {s:?}");
                     // Monotonic counter semantics across snapshots.
                     assert!(s.lookups >= prev.lookups && s.hits >= prev.hits);
-                    assert!(s.prepares >= prev.prepares && s.errors >= prev.errors);
+                    assert!(s.loads >= prev.loads && s.errors >= prev.errors);
                     prev = s;
                     samples += 1;
                 }
@@ -759,7 +457,7 @@ mod tests {
         stop.store(true, std::sync::atomic::Ordering::Release);
         assert!(reader.join().unwrap() > 0);
         let s = cache.stats();
-        assert_eq!(s.hits + s.prepares + s.errors, s.lookups, "equality at quiescence: {s:?}");
+        assert_eq!(s.hits + s.loads + s.errors, s.lookups, "equality at quiescence: {s:?}");
     }
 
     #[test]
@@ -774,7 +472,7 @@ mod tests {
         let s = cache.stats();
         let snap = recorder.snapshot();
         assert_eq!(snap.event("scene_hit"), s.hits);
-        assert_eq!(snap.event("scene_prepare"), s.prepares);
+        assert_eq!(snap.event("scene_load"), s.loads);
         assert_eq!(snap.event("scene_error"), s.errors);
         assert_eq!(snap.event("scene_evict"), s.evictions);
         assert_eq!(snap.event("scene_invalidate"), s.invalidations);
@@ -812,7 +510,7 @@ mod tests {
         cache.get_or_prepare("cat").unwrap(); // hit
         assert!(cache.terrain_names().contains(&"cat".to_string()));
         let before = cache.stats();
-        assert_eq!((before.prepares, before.hits, before.resident), (2, 1, 2));
+        assert_eq!((before.loads, before.hits, before.resident), (2, 1, 2));
         // Invalidation drops exactly the named entry; `a` stays hot.
         assert!(cache.invalidate("cat"));
         assert!(!cache.invalidate("cat"), "second invalidate finds nothing");
@@ -822,7 +520,7 @@ mod tests {
         assert_eq!(cache.stats().hits, before.hits + 1);
         // The next lookup of the invalidated name re-prepares.
         cache.get_or_prepare("cat").unwrap();
-        assert_eq!(cache.stats().prepares, before.prepares + 1);
+        assert_eq!(cache.stats().loads, before.loads + 1);
         // A deleted catalog entry stops resolving.
         catalog.delete("cat").unwrap();
         cache.invalidate("cat");

@@ -28,8 +28,8 @@
 //!   request back: a lone request starts as soon as a worker is free,
 //!   and a pipelined burst read in one go is queued whole.
 //! * [`catalog`] — named terrains behind a hard-capped prepared-scene
-//!   LRU, **sharded by terrain name** (per-shard bookkeeping locks,
-//!   per-terrain prepare locks), with two backends: a monolithic
+//!   LRU (the same [`hsr_tile::Lru`] as the resident-tile cache: one
+//!   lock, prepares outside it), with two backends: a monolithic
 //!   in-memory TIN, or an out-of-core [`hsr_tile::TiledScene`] so
 //!   multi-million-cell terrains serve under the tiled residency cap.
 //! * [`client`] — a small blocking client (single-shot and pipelined),
@@ -80,11 +80,12 @@ mod event_loop;
 pub mod protocol;
 pub mod server;
 
-pub use catalog::{PreparedCache, PreparedScene, PreparedStats, TerrainSource};
+pub use catalog::{PreparedCache, PreparedScene, TerrainSource};
 pub use client::{Client, ClientError};
 pub use hsr_catalog::{Catalog, CatalogError, CatalogStats, TerrainFormat, TerrainInfo};
 pub use hsr_obs::{
     HistSnapshot, MetricsSnapshot, Recorder, RecorderConfig, SpanRecord, TraceRecord,
 };
+pub use hsr_tile::CacheStats;
 pub use protocol::{ErrorKind, Payload, Request, Response, StatsSnapshot, UploadAck, WireError};
 pub use server::{ServeConfig, ServeStats, Server, ServerBuilder};

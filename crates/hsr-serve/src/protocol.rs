@@ -43,11 +43,11 @@
 //! malformed `view`), the server salvages the client's id from the text
 //! so the error lands on the request that caused it.
 
-use crate::catalog::PreparedStats;
 use crate::server::ServeStats;
 use hsr_catalog::{CatalogStats, TerrainFormat, TerrainInfo};
 use hsr_core::view::{Report, View};
 use hsr_obs::MetricsSnapshot;
+use hsr_tile::CacheStats;
 
 /// One visibility query: evaluate `view` against the hosted terrain
 /// named `terrain`. On the wire this is the bare legacy object
@@ -406,7 +406,7 @@ pub struct StatsSnapshot {
     /// Connection, admission, batch and outcome counters.
     pub serve: ServeStats,
     /// Prepared-scene cache counters.
-    pub prepared: PreparedStats,
+    pub prepared: CacheStats,
     /// Catalog counters, when a catalog is configured.
     pub catalog: Option<CatalogStats>,
 }

@@ -18,9 +18,11 @@
 //!                                                               │  matches
 //!                                                               │    ▼
 //!                                                               └─ worker pool
-//!                                                                  (bounded,
-//!                                                                   sharded
-//!                                                                   PreparedCache)
+//!                                                                  (bounded;
+//!                                                                   scenes from
+//!                                                                   the one
+//!                                                                   PreparedCache
+//!                                                                   LRU)
 //! ```
 //!
 //! Backpressure is one bounded queue. A shard admits the eval jobs of
@@ -39,7 +41,7 @@
 //! slow client, counted in [`ServeStats::dropped_slow`]), and workers
 //! *never block on a client socket*: they enqueue and move on.
 
-use crate::catalog::{PreparedCache, PreparedStats, TerrainSource};
+use crate::catalog::{PreparedCache, TerrainSource};
 use crate::event_loop::{shard_loop, Reply, ShardHandle};
 use crate::protocol::{ErrorKind, Response, StatsSnapshot, WireError};
 use hsr_catalog::Catalog;
@@ -453,7 +455,7 @@ impl Server {
     }
 
     /// Prepared-scene LRU counters.
-    pub fn prepared_stats(&self) -> PreparedStats {
+    pub fn prepared_stats(&self) -> hsr_tile::CacheStats {
         self.shared.cache.stats()
     }
 
@@ -751,7 +753,6 @@ fn worker_loop(shared: &Arc<Shared>) {
                     // ordering: Release; outcome counter read with
                     // Acquire by `Counters::snapshot`.
                     shared.counters.failed.fetch_add(1, Ordering::Release);
-                    let t_send0 = Instant::now();
                     job.reply.send(&Response::err(job.request.id, e.clone()));
                     let stamps = Stamps {
                         t_pickup,
@@ -759,8 +760,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                         t_lookup,
                         hit,
                         t_eval: t_lookup,
-                        t_send0,
-                        t_send1: Instant::now(),
+                        t_sent: Instant::now(),
                     };
                     finalize_trace(shared, job, terrain, &stamps, None);
                 }
@@ -789,24 +789,17 @@ fn worker_loop(shared: &Arc<Shared>) {
                     (Response::err(job.request.id, e), None)
                 }
             };
-            let t_send0 = Instant::now();
             job.reply.send(&response);
-            let stamps = Stamps {
-                t_pickup,
-                t_group,
-                t_lookup,
-                hit,
-                t_eval,
-                t_send0,
-                t_send1: Instant::now(),
-            };
+            let stamps =
+                Stamps { t_pickup, t_group, t_lookup, hit, t_eval, t_sent: Instant::now() };
             finalize_trace(shared, job, terrain, &stamps, eval_detail);
         }
     }
 }
 
 /// The worker-side timestamps of one request's tail: group pickup and
-/// scan, scene lookup, group evaluation, and this job's reply enqueue.
+/// scan, scene lookup, group evaluation, and the end of this job's reply
+/// enqueue.
 struct Stamps {
     /// When the worker found the job queued and began its group scan.
     t_pickup: Instant,
@@ -817,8 +810,8 @@ struct Stamps {
     /// had to prepare (`lookup_prepare`).
     hit: bool,
     t_eval: Instant,
-    t_send0: Instant,
-    t_send1: Instant,
+    /// When this job's reply was enqueued.
+    t_sent: Instant,
 }
 
 /// Folds one finished request into the recorder: per-stage histogram
@@ -828,9 +821,11 @@ struct Stamps {
 /// `queue_wait` from admission to the worker's pickup, `coalesce` over
 /// the worker's group scan, then `lookup_*`,
 /// `evaluate` (the *group's* evaluation wall — the job's answer waits
-/// for the whole group either way), and `respond`. The only uncovered
-/// gaps are sub-microsecond bookkeeping between stamps, which is what
-/// keeps `stage_sum_ns` within a few percent of the root duration.
+/// for the whole group either way), and `respond` from the group's
+/// evaluation end to this job's enqueue, so job k of a group also owns
+/// the time spent answering jobs 1..k−1. The only uncovered gaps are
+/// sub-microsecond bookkeeping between stamps, which is what keeps
+/// `stage_sum_ns` within a few percent of the root duration.
 fn finalize_trace(
     shared: &Arc<Shared>,
     job: &Job,
@@ -843,7 +838,7 @@ fn finalize_trace(
     };
     let base = trace.t_start;
     let off = |at: Instant| at.saturating_duration_since(base).as_nanos() as u64;
-    let total = off(stamps.t_send1);
+    let total = off(stamps.t_sent);
 
     let mut root = SpanRecord::new("request", 0, total);
     root.children
@@ -891,11 +886,11 @@ fn finalize_trace(
     }
     root.children.push(eval_stage);
     let respond_ns = stamps
-        .t_send1
-        .saturating_duration_since(stamps.t_send0)
+        .t_sent
+        .saturating_duration_since(stamps.t_eval)
         .as_nanos() as u64;
     root.children
-        .push(SpanRecord::new("respond", off(stamps.t_send0), respond_ns));
+        .push(SpanRecord::new("respond", off(stamps.t_eval), respond_ns));
 
     obs.hist_request.record(total);
     obs.hist_parse.record(trace.parse_ns);

@@ -231,7 +231,7 @@ fn overwrite_and_delete_invalidate_exactly_the_affected_entries() {
     let x_before = client.eval("x", &view).expect("eval x");
     client.eval("y", &view).expect("eval y");
     let prepared = server.prepared_stats();
-    assert_eq!((prepared.prepares, prepared.resident), (2, 2), "{prepared:?}");
+    assert_eq!((prepared.loads, prepared.resident), (2, 2), "{prepared:?}");
 
     // Overwrite `x` with different content. The stale-answer
     // regression: without exact invalidation the prepared cache keeps
@@ -253,7 +253,7 @@ fn overwrite_and_delete_invalidate_exactly_the_affected_entries() {
     let prepared = server.prepared_stats();
     assert_eq!(prepared.invalidations, 1, "{prepared:?}");
     assert_eq!(prepared.hits, hits_before + 1, "y must still be cached: {prepared:?}");
-    assert_eq!(prepared.prepares, 3, "only x re-prepared: {prepared:?}");
+    assert_eq!(prepared.loads, 3, "only x re-prepared: {prepared:?}");
 
     // Delete: the name stops resolving and its entry leaves the cache.
     let removed = client.delete_terrain("x").expect("delete x");

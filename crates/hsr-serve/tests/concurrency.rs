@@ -118,7 +118,7 @@ fn capacity_one_scene_lru_serves_alternating_terrains() {
     let prepared = server.prepared_stats();
     assert_eq!(prepared.peak_resident, 1, "the LRU must never retain more than one scene");
     assert!(prepared.evictions > 0, "alternating terrains must evict under capacity 1");
-    assert_eq!(prepared.hits + prepared.prepares + prepared.errors, prepared.lookups);
+    assert_eq!(prepared.hits + prepared.loads + prepared.errors, prepared.lookups);
     server.shutdown();
 }
 

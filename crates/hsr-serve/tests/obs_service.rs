@@ -1,11 +1,17 @@
 //! Observability over the serving stack (ISSUE 9): the wire `Metrics`
 //! verb, per-request span trees whose stages account for the request's
-//! wall-clock, histogram totals matching the serve counters, slow-ring
-//! capture, and the torn-snapshot regression for `ServeStats`.
+//! wall-clock (ping-pong and a coalesced pipelined burst), histogram
+//! totals matching the serve counters, slow-ring capture, and the
+//! torn-snapshot regression for `ServeStats`.
 
+use hsr_core::pipeline::Algorithm;
 use hsr_core::view::View;
-use hsr_serve::{Client, ErrorKind, Recorder, RecorderConfig, ServerBuilder, TerrainSource};
+use hsr_geometry::Point3;
+use hsr_serve::{
+    Client, ErrorKind, Recorder, RecorderConfig, Request, Response, ServerBuilder, TerrainSource,
+};
 use hsr_terrain::gen;
+use std::io::{BufRead as _, BufReader, Write as _};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -65,7 +71,7 @@ fn metrics_over_the_wire_capture_spans_and_histograms() {
     assert!(prepares >= 1, "the first request must have prepared the scene");
 
     // The prepared-scene cache mirrors its outcomes as events.
-    assert_eq!(snap.event("scene_hit") + snap.event("scene_prepare"), 12);
+    assert_eq!(snap.event("scene_hit") + snap.event("scene_load"), 12);
     assert_eq!(snap.event("scene_error"), 1);
 
     // Span trees: stages tile the request interval, and their sum
@@ -110,6 +116,57 @@ fn metrics_over_the_wire_capture_spans_and_histograms() {
     // The pre-existing Stats verb answers unchanged alongside Metrics.
     let stats_over_wire = client.stats().unwrap();
     assert_eq!(stats_over_wire.serve, stats);
+
+    // A pipelined burst of viewsheds in one write coalesces into one
+    // group. Job k's answer waits while the worker answers jobs
+    // 1..k−1, and its stages must account for that time too. The
+    // Sequential engine keeps the group's evaluation short next to
+    // those answers.
+    let burst_ids = 101..106u64;
+    let mut burst = String::new();
+    for id in burst_ids.clone() {
+        let observer = Point3::new(40.0 + id as f64, 14.0, 12.0);
+        let view = View::viewshed(observer, vec![Point3::new(6.5, 9.5, 3.0)])
+            .algorithm(Algorithm::Sequential);
+        burst += &serde_json::to_string(&Request::eval(id, "t", view)).unwrap();
+        burst.push('\n');
+    }
+    let before = server.stats();
+    let mut stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    stream.write_all(burst.as_bytes()).unwrap();
+    let mut reader = BufReader::new(stream);
+    for _ in burst_ids.clone() {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        let response: Response = serde_json::from_str(line.trim()).unwrap();
+        assert!(burst_ids.contains(&response.id));
+        response.into_result().unwrap();
+    }
+    assert_eq!(server.stats().batches - before.batches, 1, "one burst, one group");
+    let deadline = std::time::Instant::now() + Duration::from_secs(2);
+    let snap = loop {
+        let snap = client.metrics().unwrap();
+        if snap.traces_recorded == 18 || std::time::Instant::now() > deadline {
+            break snap;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    let traces: Vec<_> = snap
+        .recent
+        .iter()
+        .filter(|t| burst_ids.contains(&t.id))
+        .collect();
+    assert_eq!(traces.len(), 5);
+    for trace in traces {
+        let sum = trace.root.stage_sum_ns();
+        assert!(sum <= trace.root.dur_ns, "stages are disjoint sub-intervals");
+        assert!(
+            sum as f64 >= 0.95 * trace.root.dur_ns as f64,
+            "burst stages must account for ≥95% of the request: {sum} of {} ns (id {})",
+            trace.root.dur_ns,
+            trace.id,
+        );
+    }
     server.shutdown();
 }
 

@@ -16,8 +16,10 @@
 //!   shapes, and [`TilePyramid::build`] to materialize a grid.
 //! * [`store`] — the on-disk format: one compact binary file per tile
 //!   (see [`hsr_terrain::io::grid_to_bytes`]) plus a pyramid meta file.
-//! * [`cache`] — the [`SceneCache`]: at most `capacity` tiles resident,
-//!   ever; `peak_resident` proves it.
+//! * [`cache`] — [`Lru`], the one bounded cache: at most `capacity`
+//!   entries resident, ever, with loads outside its lock. The
+//!   resident-tile [`SceneCache`] is one, and so is the serving layer's
+//!   prepared-scene cache.
 //! * [`scene`] — [`TiledScene`]: select covering tiles per
 //!   [`View`](hsr_core::view::View), pick a level per tile, evaluate
 //!   chunks in parallel, stitch one merged
@@ -56,7 +58,7 @@ pub mod pyramid;
 pub mod scene;
 pub mod store;
 
-pub use cache::{CacheStats, SceneCache};
+pub use cache::{CacheStats, Lru, SceneCache};
 pub use pyramid::{PyramidMeta, TileId, TilePyramid, TilingConfig};
 pub use scene::{TileEval, TiledError, TiledReport, TiledScene, TiledSceneConfig};
 pub use store::{TileStore, TileStoreError};

@@ -27,7 +27,7 @@
 //! resolve occlusion within each tile only; stitching does not re-run
 //! hidden-surface removal across tile boundaries.
 
-use crate::cache::{CacheStats, SceneCache};
+use crate::cache::{unpinned, CacheStats, Lru, SceneCache};
 use crate::pyramid::{PyramidMeta, TileId, TilePyramid, TilingConfig};
 use crate::store::{TileStore, TileStoreError};
 use hsr_core::error::HsrError;
@@ -182,7 +182,7 @@ impl TiledScene {
     ) -> Result<TiledScene, TiledError> {
         let meta = TilePyramid::build(grid, tiling, &store)?;
         Ok(TiledScene {
-            cache: SceneCache::new(cfg.cache_capacity),
+            cache: Lru::new(cfg.cache_capacity, unpinned),
             meta,
             store,
             cfg,
@@ -201,7 +201,7 @@ impl TiledScene {
             other => TiledError::Store(other),
         })?;
         Ok(TiledScene {
-            cache: SceneCache::new(cfg.cache_capacity),
+            cache: Lru::new(cfg.cache_capacity, unpinned),
             meta,
             store,
             cfg,
@@ -220,9 +220,9 @@ impl TiledScene {
     }
 
     /// Mirror this scene's tile-cache activity into `recorder`'s
-    /// `tile_*` event counters (see [`SceneCache::attach_recorder`]).
+    /// `tile_*` event counters (see [`Lru::attach_recorder`]).
     pub fn attach_recorder(&self, recorder: &hsr_obs::Recorder) {
-        self.cache.attach_recorder(recorder);
+        self.cache.attach_recorder(recorder, "tile");
     }
 
     /// Evaluates one view against the tiled terrain. See the module docs
@@ -316,11 +316,12 @@ impl TiledScene {
             for &id in group {
                 let tin = self
                     .cache
-                    .get_or_load(id, || {
+                    .get_or_load(&id, || {
                         self.store
                             .read_tile(id)
                             .map_err(TiledError::Store)
                             .and_then(|g| g.to_tin().map_err(TiledError::Terrain))
+                            .map(Arc::new)
                     })
                     .expect("chunk size never exceeds cache capacity")?;
                 pinned.push((id, tin));

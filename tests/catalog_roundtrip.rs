@@ -56,7 +56,7 @@ fn facade_catalog_survives_restart_and_reports_stats() {
     // The wire stats snapshot covers all three counter families.
     let stats = client.stats().expect("stats");
     assert!(stats.serve.completed >= 1);
-    assert_eq!(stats.prepared.prepares, 1);
+    assert_eq!(stats.prepared.loads, 1);
     assert_eq!(stats.catalog.expect("catalog configured").entries, 1);
 
     // Unknown names stay typed errors through the facade re-exports.

@@ -263,7 +263,7 @@ fn racing_clients_get_bit_identical_reports_on_both_backends() {
     assert_eq!(stats.malformed, 0);
     assert!(stats.completed >= 8 * (2 + 4));
     let prepared = server.prepared_stats();
-    assert_eq!(prepared.hits + prepared.prepares + prepared.errors, prepared.lookups);
+    assert_eq!(prepared.hits + prepared.loads + prepared.errors, prepared.lookups);
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
