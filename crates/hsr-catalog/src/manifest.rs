@@ -103,17 +103,28 @@ pub(crate) fn replay(path: &Path) -> std::io::Result<Replay> {
 mod tests {
     use super::*;
 
-    fn scratch(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("hsr-manifest-{}", std::process::id()));
+    /// Removes its directory on drop, so a test run leaves nothing
+    /// behind in the temp dir.
+    struct ScratchDir(std::path::PathBuf);
+
+    impl Drop for ScratchDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// A fresh log path in a directory of the calling test's own.
+    fn scratch(name: &str) -> (ScratchDir, std::path::PathBuf) {
+        let dir = std::env::temp_dir().join(format!("hsr-manifest-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(name);
-        let _ = std::fs::remove_file(&path);
-        path
+        (ScratchDir(dir), path)
     }
 
     #[test]
     fn records_replay_in_order() {
-        let path = scratch("order.log");
+        let (_dir, path) = scratch("order.log");
         {
             let mut r = replay(&path).unwrap();
             append_record(&mut r.log, b"one").unwrap();
@@ -127,7 +138,7 @@ mod tests {
 
     #[test]
     fn torn_tail_is_truncated_and_appends_resume() {
-        let path = scratch("torn.log");
+        let (_dir, path) = scratch("torn.log");
         {
             let mut r = replay(&path).unwrap();
             append_record(&mut r.log, b"keep-a").unwrap();
@@ -152,7 +163,7 @@ mod tests {
 
     #[test]
     fn damaged_payload_drops_the_tail_from_the_damage_on() {
-        let path = scratch("damage.log");
+        let (_dir, path) = scratch("damage.log");
         {
             let mut r = replay(&path).unwrap();
             append_record(&mut r.log, b"good").unwrap();
@@ -170,7 +181,7 @@ mod tests {
 
     #[test]
     fn absurd_length_field_is_garbage_not_an_allocation() {
-        let path = scratch("absurd.log");
+        let (_dir, path) = scratch("absurd.log");
         {
             let mut r = replay(&path).unwrap();
             append_record(&mut r.log, b"ok").unwrap();

@@ -13,6 +13,11 @@
 //! 4. The leaves yield the [`visibility`] map — the device-independent
 //!    description of the visible scene.
 //!
+//! [`view::evaluate`] runs these steps for one [`View`] — orthographic,
+//! perspective or viewshed — and is the one way a view is evaluated;
+//! [`view::evaluate_batch`] and [`view::evaluate_many`] fan it out.
+//! [`pipeline`] holds the configuration it runs under.
+//!
 //! [`cg`] implements the Chazelle–Guibas search structure with convex-chain
 //! augmentation (the ACG of Lemmas 3.3–3.6) used for queries and for the
 //! rebuild-per-layer ablation mode. [`seq`] and [`naive`] are the
@@ -44,7 +49,7 @@ pub mod zbuffer;
 pub use edges::{project_edges, SceneEdge};
 pub use envelope::{CrossEvent, Envelope, Piece};
 pub use error::HsrError;
-pub use pipeline::{run, Algorithm, HsrConfig, HsrResult, Phase2Mode, Timings};
+pub use pipeline::{Algorithm, HsrConfig, Phase2Mode, Timings};
 pub use ptenv::PEnvelope;
-pub use view::{evaluate, evaluate_batch, evaluate_span, Projection, Report, View};
+pub use view::{evaluate, evaluate_batch, evaluate_many, evaluate_span, Projection, Report, View};
 pub use visibility::VisibilityMap;

@@ -115,7 +115,8 @@ pub fn perspective_tin(tin: &Tin, view: Viewpoint) -> Result<Tin, PerspectiveErr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{run, Algorithm, HsrConfig};
+    use crate::pipeline::Algorithm;
+    use crate::view::{evaluate, Report, View};
     use hsr_terrain::gen;
 
     #[test]
@@ -161,15 +162,15 @@ mod tests {
     #[test]
     fn distant_viewpoint_approaches_orthographic() {
         let tin = gen::gaussian_hills(10, 10, 4, 9).to_tin().unwrap();
-        let ortho = run(&tin, &HsrConfig::default()).unwrap();
+        let ortho = evaluate(&tin, &View::orthographic(0.0)).unwrap();
         // Viewpoint very far away, centered on the terrain.
         let (lo, hi) = tin.ground_bounds();
         let view = Viewpoint { vx: 1e7, vy: 0.5 * (lo.y + hi.y), vz: 5.0 };
         let persp_tin = perspective_tin(&tin, view).unwrap();
-        let persp = run(&persp_tin, &HsrConfig::default()).unwrap();
+        let persp = evaluate(&persp_tin, &View::orthographic(0.0)).unwrap();
         // Edge-level visibility (which edges have any visible portion)
         // converges to the orthographic answer.
-        let vis_set = |r: &crate::pipeline::HsrResult| {
+        let vis_set = |r: &Report| {
             let mut s: Vec<u32> = r.vis.per_edge_intervals().keys().copied().collect();
             s.extend(&r.vis.vertical_visible);
             s.sort_unstable();
@@ -194,9 +195,9 @@ mod tests {
         let (lo, hi) = tin.ground_bounds();
         let view = Viewpoint { vx: hi.x + 20.0, vy: 0.5 * (lo.y + hi.y), vz: 25.0 };
         let ptin = perspective_tin(&tin, view).unwrap();
-        let par = run(&ptin, &HsrConfig::default()).unwrap();
-        let seq = run(&ptin, &HsrConfig { algorithm: Algorithm::Sequential, ..Default::default() })
-            .unwrap();
+        let par = evaluate(&ptin, &View::orthographic(0.0)).unwrap();
+        let seq =
+            evaluate(&ptin, &View::orthographic(0.0).algorithm(Algorithm::Sequential)).unwrap();
         assert!(par.vis.agreement(&seq.vis) > 0.9999);
     }
 
@@ -209,7 +210,7 @@ mod tests {
         let (lo, hi) = tin.ground_bounds();
         let view = Viewpoint { vx: hi.x + 15.0, vy: 0.5 * (lo.y + hi.y), vz: 12.0 };
         let ptin = perspective_tin(&tin, view).unwrap();
-        let res = run(&ptin, &HsrConfig::default()).unwrap();
+        let res = evaluate(&ptin, &View::orthographic(0.0)).unwrap();
         let intervals = res.vis.per_edge_intervals();
         let empty = Vec::new();
         let (mut agree, mut total) = (0, 0);

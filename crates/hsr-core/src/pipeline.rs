@@ -1,11 +1,9 @@
-//! End-to-end pipeline: terrain in, visibility map + measurements out.
+//! Pipeline configuration and the engine dispatch: which algorithm runs
+//! on the ordered edges, with what options, and how long each stage
+//! took. A view is evaluated end to end by [`crate::view::evaluate`].
 
-use crate::edges::{project_edges, SceneEdge};
-use crate::order::{depth_order, depth_order_parallel, CyclicOcclusion};
-use crate::pct::{LayerStats, Pct};
-use crate::visibility::VisibilityMap;
-use hsr_pram::cost::{CostCollector, CostReport};
-use hsr_terrain::Tin;
+use crate::edges::SceneEdge;
+use crate::pct::{Pct, Phase2Output};
 use std::time::Instant;
 
 /// Which algorithm to run.
@@ -30,7 +28,9 @@ pub enum Phase2Mode {
     Rebuild,
 }
 
-/// Pipeline configuration.
+/// Pipeline configuration. Cheap to compare and hash: a request
+/// scheduler groups views of one terrain by it, since views with equal
+/// configs evaluate identically alone or batched.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HsrConfig {
@@ -56,169 +56,60 @@ impl Default for HsrConfig {
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Timings {
-    /// Edge projection + front-to-back ordering.
+    /// From the start of the evaluation through the image-space remap,
+    /// edge projection, front-to-back ordering and (viewsheds) target
+    /// classification.
     pub order_s: f64,
     /// Phase 1 (PCT build + intermediate profiles).
     pub phase1_s: f64,
     /// Phase 2 (prefix profiles + visibility extraction).
     pub phase2_s: f64,
-    /// Total.
+    /// Total, ending when the engine does.
     pub total_s: f64,
 }
 
-impl Timings {
-    /// Stage-wise sum of `other` into `self` — the timing ledger of a
-    /// result stitched from parts (per-tile runs of a tiled evaluation).
-    /// Sums are cumulative compute time, not wall-clock time, when the
-    /// parts ran concurrently.
-    pub fn absorb(&mut self, other: &Timings) {
-        self.order_s += other.order_s;
-        self.phase1_s += other.phase1_s;
-        self.phase2_s += other.phase2_s;
-        self.total_s += other.total_s;
-    }
-}
-
-/// The result of a pipeline run.
-pub struct HsrResult {
-    /// The visible image.
-    pub vis: VisibilityMap,
-    /// Input size `n` (number of edges).
-    pub n: usize,
-    /// Output size `k` (pieces + crossings + vertical points).
-    pub k: usize,
-    /// Cost-model counters accumulated during this run.
-    pub cost: CostReport,
-    /// Stage timings.
-    pub timings: Timings,
-    /// Per-layer statistics (only when `collect_stats`).
-    pub layers: Vec<LayerStats>,
-    /// Crossings discovered at internal PCT merges.
-    pub internal_crossings: u64,
-}
-
-/// Projects, orders and runs the selected algorithm on a terrain.
-///
-/// The run owns a scoped [`CostCollector`]: the result's `cost` counts
-/// exactly this run's work, even when other runs execute concurrently
-/// (nested under any collector the caller has installed, so outer
-/// measurement brackets still see this run's charges).
-pub fn run(tin: &Tin, cfg: &HsrConfig) -> Result<HsrResult, CyclicOcclusion> {
-    run_scoped(tin, cfg, &CostCollector::new())
-}
-
-/// Like [`run`], but charges an existing `collector` instead of creating
-/// one. Callers that already own a collector for a wider measurement
-/// (e.g. `view::evaluate`, whose collector also covers the projection
-/// remap) pass it here so the hot loops update exactly one collector
-/// chain instead of a nested pair whose inner report would be discarded.
-pub fn run_scoped(
-    tin: &Tin,
-    cfg: &HsrConfig,
-    collector: &CostCollector,
-) -> Result<HsrResult, CyclicOcclusion> {
-    let _scope = collector.install();
-    let t_start = Instant::now();
-
-    let edges = project_edges(tin);
-    let order = if cfg.parallel_order {
-        depth_order_parallel(tin)?
-    } else {
-        depth_order(tin)?
-    };
-    Ok(run_core(tin, cfg, &edges, &order, collector, t_start))
-}
-
-/// Runs the selected algorithm on an already projected and ordered scene
-/// (callers like the viewshed evaluation share `edges`/`order` with the
-/// batched point classification instead of recomputing them). The prep
-/// work the caller already paid is *not* included in the result's cost
-/// or order timing; callers widen the bracket themselves (with their own
-/// [`CostCollector`] and [`run_prepared_scoped`]) if they need it.
-pub fn run_prepared(tin: &Tin, cfg: &HsrConfig, edges: &[SceneEdge], order: &[u32]) -> HsrResult {
-    run_prepared_scoped(tin, cfg, edges, order, &CostCollector::new())
-}
-
-/// Like [`run_prepared`], but charges an existing `collector` (see
-/// [`run_scoped`]). Note the result's `cost` is the collector's full
-/// report, so it includes whatever the caller already charged to it.
-pub fn run_prepared_scoped(
-    tin: &Tin,
-    cfg: &HsrConfig,
-    edges: &[SceneEdge],
-    order: &[u32],
-    collector: &CostCollector,
-) -> HsrResult {
-    let _scope = collector.install();
-    let t_start = Instant::now();
-    run_core(tin, cfg, edges, order, collector, t_start)
-}
-
-fn run_core(
-    tin: &Tin,
-    cfg: &HsrConfig,
-    edges: &[SceneEdge],
-    order: &[u32],
-    collector: &CostCollector,
-    t_start: Instant,
-) -> HsrResult {
-    let ordered: Vec<SceneEdge> = order.iter().map(|&e| edges[e as usize]).collect();
-    let t_order = Instant::now();
-
-    let (vis, layers, internal_crossings, t_phase1) = match cfg.algorithm {
+/// Runs the configured engine on edges in front-to-back order. Returns
+/// its output and the instant phase 1 ended: after the PCT build for the
+/// parallel algorithm, at once for the baselines, which have no phase 1.
+pub(crate) fn run_engine(cfg: &HsrConfig, ordered: Vec<SceneEdge>) -> (Phase2Output, Instant) {
+    let baseline = |vis| Phase2Output { vis, layers: Vec::new(), internal_crossings: 0 };
+    match cfg.algorithm {
         Algorithm::Parallel(mode) => {
             let pct = Pct::build(ordered);
-            let t_phase1 = Instant::now();
+            let phase1_end = Instant::now();
             let out = match mode {
                 Phase2Mode::Persistent => pct.phase2(cfg.collect_stats),
                 Phase2Mode::Rebuild => pct.phase2_rebuild(),
             };
-            (out.vis, out.layers, out.internal_crossings, t_phase1)
+            (out, phase1_end)
         }
         Algorithm::Sequential => {
-            let t_phase1 = Instant::now();
-            (crate::seq::run_sequential(&ordered), Vec::new(), 0, t_phase1)
+            let phase1_end = Instant::now();
+            (baseline(crate::seq::run_sequential(&ordered)), phase1_end)
         }
         Algorithm::Naive => {
-            let t_phase1 = Instant::now();
-            (crate::naive::run_naive(&ordered), Vec::new(), 0, t_phase1)
+            let phase1_end = Instant::now();
+            (baseline(crate::naive::run_naive(&ordered)), phase1_end)
         }
-    };
-
-    let t_end = Instant::now();
-    let cost = collector.report();
-    let k = vis.output_size();
-    HsrResult {
-        n: tin.edges().len(),
-        k,
-        vis,
-        cost,
-        timings: Timings {
-            order_s: (t_order - t_start).as_secs_f64(),
-            phase1_s: (t_phase1 - t_order).as_secs_f64(),
-            phase2_s: (t_end - t_phase1).as_secs_f64(),
-            total_s: (t_end - t_start).as_secs_f64(),
-        },
-        layers,
-        internal_crossings,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::view::{evaluate, View};
     use hsr_terrain::gen;
 
     #[test]
     fn all_algorithms_agree_end_to_end() {
         let tin = gen::fbm(9, 9, 3, 8.0, 13).to_tin().unwrap();
-        let base = run(&tin, &HsrConfig::default()).unwrap();
+        let base = evaluate(&tin, &View::orthographic(0.0)).unwrap();
         for alg in [
             Algorithm::Parallel(Phase2Mode::Rebuild),
             Algorithm::Sequential,
             Algorithm::Naive,
         ] {
-            let other = run(&tin, &HsrConfig { algorithm: alg, ..Default::default() }).unwrap();
+            let other = evaluate(&tin, &View::orthographic(0.0).algorithm(alg)).unwrap();
             let ag = base.vis.agreement(&other.vis);
             assert!(ag > 0.9999, "{alg:?} agreement {ag}");
             assert_eq!(base.vis.vertical_visible, other.vis.vertical_visible, "{alg:?}");
@@ -228,7 +119,7 @@ mod tests {
     #[test]
     fn output_size_reported() {
         let tin = gen::quadratic_comb(6);
-        let r = run(&tin, &HsrConfig::default()).unwrap();
+        let r = evaluate(&tin, &View::orthographic(0.0)).unwrap();
         assert_eq!(r.k, r.vis.output_size());
         assert!(r.k > r.n, "comb must have superlinear output");
         assert!(r.timings.total_s > 0.0);
@@ -237,9 +128,9 @@ mod tests {
     #[test]
     fn stats_collection_is_optional() {
         let tin = gen::gaussian_hills(8, 8, 3, 17).to_tin().unwrap();
-        let with = run(&tin, &HsrConfig { collect_stats: true, ..Default::default() }).unwrap();
+        let with = evaluate(&tin, &View::orthographic(0.0).stats(true)).unwrap();
         assert!(!with.layers.is_empty());
-        let without = run(&tin, &HsrConfig::default()).unwrap();
+        let without = evaluate(&tin, &View::orthographic(0.0)).unwrap();
         assert!(without.layers.is_empty());
         assert!(with.vis.agreement(&without.vis) > 0.9999);
     }

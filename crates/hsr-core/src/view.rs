@@ -13,25 +13,29 @@
 //! * [`View`] — a projection plus its per-view pipeline configuration
 //!   (algorithm, ordering mode, statistics), built fluently:
 //!   `View::orthographic(0.3).algorithm(Algorithm::Sequential)`.
-//! * [`evaluate`] / [`evaluate_batch`] — run one view or a whole batch
-//!   (in parallel via rayon `join`) against a shared terrain, reusing the
-//!   terrain's edge/adjacency structure across views through
-//!   [`Tin::remap_vertices`] instead of re-validating per view.
+//! * [`evaluate`] — the one evaluation body every projection takes;
+//!   [`evaluate_batch`] and [`evaluate_many`] fan it out in parallel over
+//!   one shared terrain or many, reusing each terrain's edge/adjacency
+//!   structure across views through [`Tin::remap_vertices`] instead of
+//!   re-validating per view.
 //! * [`Report`] — the unified result: visibility map, `n`/`k`, cost
 //!   counters, timings, optional per-layer statistics, and (for
 //!   viewsheds) per-target verdicts. Serializes to JSON for the bench
 //!   binaries when the `serde` feature is on.
 
-use crate::edges::project_edges;
+use crate::edges::{project_edges, SceneEdge};
 use crate::error::HsrError;
+use crate::order::{depth_order, depth_order_parallel};
 use crate::pct::LayerStats;
-use crate::perspective::Viewpoint;
-use crate::pipeline::{self, Algorithm, HsrConfig, HsrResult, Phase2Mode, Timings};
+use crate::perspective::{check_eye_margin, Viewpoint};
+use crate::pipeline::{run_engine, Algorithm, HsrConfig, Phase2Mode, Timings};
 use crate::viewshed::{classify_points, Verdict};
 use crate::visibility::VisibilityMap;
 use hsr_geometry::Point3;
 use hsr_pram::cost::{Category, CostCollector, CostReport};
 use hsr_terrain::Tin;
+use std::f64::consts::PI;
+use std::time::Instant;
 
 /// Where the viewer stands.
 #[derive(Clone, Debug, PartialEq)]
@@ -88,25 +92,6 @@ pub struct View {
     pub config: HsrConfig,
 }
 
-/// The canonical batching-compatibility key of a [`View`]: everything
-/// about a view *except* its geometry. Two views of the same terrain with
-/// equal keys can be coalesced into one [`evaluate_batch`] /
-/// [`evaluate_many`] fan-out without changing any per-view result — the
-/// key pins the pipeline configuration, and the scoped cost collectors
-/// make each report independent of what else ran in the batch.
-///
-/// The key is deliberately cheap (`Copy`, `Eq`, `Hash`): a request
-/// scheduler computes it per request and groups by `(terrain, key)`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct CompatKey {
-    /// Algorithm + phase-2 engine selection.
-    pub algorithm: Algorithm,
-    /// Layered parallel Kahn ordering vs sequential.
-    pub parallel_order: bool,
-    /// Per-layer statistics collection.
-    pub collect_stats: bool,
-}
-
 impl View {
     /// An orthographic view along `-x` after an `azimuth` rotation.
     pub fn orthographic(azimuth: f64) -> View {
@@ -156,13 +141,54 @@ impl View {
         self
     }
 
-    /// The view's batching-compatibility key (see [`CompatKey`]).
-    pub fn compat_key(&self) -> CompatKey {
-        CompatKey {
-            algorithm: self.config.algorithm,
-            parallel_order: self.config.parallel_order,
-            collect_stats: self.config.collect_stats,
+    /// Checks everything about the view that needs no terrain: finite
+    /// coordinates, a field of view in `(0, π]`, a resolution ≥ 1, an eye
+    /// and look point with distinct ground positions, and viewshed
+    /// targets strictly in front of the observer (`x` below the
+    /// observer's). [`evaluate`] runs it before touching the terrain, and
+    /// tiled evaluation runs it before loading a tile. The one rule that
+    /// needs the terrain — the eye or observer must lie beyond every
+    /// terrain `x` — is checked by [`evaluate`].
+    pub fn validate(&self) -> Result<(), HsrError> {
+        let invalid = |why: String| Err(HsrError::InvalidView(why));
+        match &self.projection {
+            Projection::Orthographic { azimuth } => {
+                if !azimuth.is_finite() {
+                    return invalid("azimuth must be finite".into());
+                }
+            }
+            Projection::Perspective { eye, look, fov, resolution } => {
+                if !(fov.is_finite() && *fov > 0.0 && *fov <= PI) {
+                    return invalid(format!("fov must lie in (0, π], got {fov}"));
+                }
+                if *resolution == 0 {
+                    return invalid("resolution must be ≥ 1".into());
+                }
+                if !eye.is_finite() {
+                    return invalid("eye must be finite".into());
+                }
+                let (dx, dy) = (look.x - eye.x, look.y - eye.y);
+                if !(dx.is_finite() && dy.is_finite()) || (dx == 0.0 && dy == 0.0) {
+                    return invalid(
+                        "eye and look must have distinct, finite ground positions".into(),
+                    );
+                }
+            }
+            Projection::Viewshed { observer, targets } => {
+                if !observer.is_finite() {
+                    return invalid("observer must be finite".into());
+                }
+                for (i, t) in targets.iter().enumerate() {
+                    if !t.is_finite() {
+                        return invalid(format!("target {i} is not finite"));
+                    }
+                    if t.x >= observer.x {
+                        return invalid(format!("target {i} lies at or behind the observer depth"));
+                    }
+                }
+            }
         }
+        Ok(())
     }
 }
 
@@ -197,20 +223,6 @@ pub struct Report {
 }
 
 impl Report {
-    fn from_result(r: HsrResult) -> Report {
-        Report {
-            vis: r.vis,
-            n: r.n,
-            k: r.k,
-            cost: r.cost,
-            timings: r.timings,
-            layers: r.layers,
-            internal_crossings: r.internal_crossings,
-            verdicts: Vec::new(),
-            resolution: None,
-        }
-    }
-
     /// The report of an evaluation over nothing: empty map, zero sizes and
     /// counters. The identity of [`Report::absorb`] — stitching loops fold
     /// part reports into it.
@@ -239,8 +251,9 @@ impl Report {
     ///   merged map. Each part's map resolves occlusion *within* that
     ///   part only — stitching does not re-run hidden-surface removal
     ///   across part boundaries.
-    /// * Cost counters and timings add ([`CostReport::absorb`],
-    ///   [`Timings::absorb`]); per-layer statistics concatenate;
+    /// * Cost counters add ([`CostReport::absorb`]) and timings add stage
+    ///   by stage — cumulative compute time, not wall-clock time, when
+    ///   the parts ran concurrently; per-layer statistics concatenate;
     ///   `internal_crossings` accumulates.
     /// * Viewshed verdicts combine pointwise with *Hidden dominating*:
     ///   when every part classified the same target list, a target is
@@ -257,7 +270,11 @@ impl Report {
         self.n += other.n;
         self.k = self.vis.output_size();
         self.cost.absorb(&other.cost);
-        self.timings.absorb(&other.timings);
+        let (t, o) = (&mut self.timings, &other.timings);
+        t.order_s += o.order_s;
+        t.phase1_s += o.phase1_s;
+        t.phase2_s += o.phase2_s;
+        t.total_s += o.total_s;
         self.layers.extend(other.layers.iter().cloned());
         self.internal_crossings += other.internal_crossings;
         if self.verdicts.is_empty() {
@@ -280,32 +297,113 @@ impl Report {
     }
 }
 
-/// The conditioning margin of the perspective pre-transform, shared with
-/// [`crate::perspective::perspective_tin`] through
-/// [`crate::perspective::check_eye_margin`] so the rule exists once.
-fn check_eye_depth(depths: impl Iterator<Item = f64>, eye_depth: f64) -> Result<(), HsrError> {
-    Ok(crate::perspective::check_eye_margin(depths, eye_depth)?)
-}
-
 /// Evaluates one view against a terrain.
 ///
-/// The terrain's combinatorial structure (edges, adjacency) is reused for
-/// every projection through [`Tin::remap_vertices`]; no full TIN
-/// rebuild/validation happens per view.
+/// Every projection takes the same path: validate the view
+/// ([`View::validate`]), remap the terrain into image space, project and
+/// order its edges front to back, classify the viewshed targets against
+/// that same order, run the configured engine, and clip a perspective
+/// image to its field of view. The terrain's combinatorial structure
+/// (edges, adjacency) is reused for every projection through
+/// [`Tin::remap_vertices`]; no full TIN rebuild/validation happens per
+/// view, and the canonical view (azimuth 0) evaluates the terrain as
+/// given.
 ///
-/// Each evaluation owns a scoped [`CostCollector`] covering everything it
-/// does (projection remap, ordering, pipeline, viewshed classification),
-/// so [`Report::cost`] is exact per view — including inside a concurrent
-/// [`evaluate_batch`] — and a caller's own collector, if installed, still
-/// observes the evaluation through collector nesting.
+/// Each evaluation owns one scoped [`CostCollector`] covering everything
+/// it does, so [`Report::cost`] is exact per view — including inside a
+/// concurrent [`evaluate_batch`] — and a caller's own collector, if
+/// installed, still observes the evaluation through collector nesting.
 pub fn evaluate(tin: &Tin, view: &View) -> Result<Report, HsrError> {
+    let t_start = Instant::now();
+    view.validate()?;
     let collector = CostCollector::new();
-    let guard = collector.install();
-    let result = evaluate_under_collector(tin, view, &collector);
-    drop(guard);
-    result.map(|mut report| {
-        report.cost = collector.report();
-        report
+    let scope = collector.install();
+
+    // Image space: the remapped terrain (none for the canonical view),
+    // the projected viewshed queries, and the perspective fov clip.
+    let mut queries = None;
+    let mut clip = None;
+    let mut resolution = None;
+    let remapped = match &view.projection {
+        Projection::Orthographic { azimuth } if *azimuth == 0.0 => None,
+        Projection::Orthographic { azimuth } => Some(tin.rotated_about_z(*azimuth)?),
+        Projection::Perspective { eye, look, fov, resolution: pixels } => {
+            // Rotate the scene so the look direction becomes `-x` (the
+            // pipeline's view axis). Rotating a vector at angle θ by
+            // α = π − θ lands it at angle π, i.e. along −x.
+            let alpha = PI - (look.y - eye.y).atan2(look.x - eye.x);
+            let (s, c) = alpha.sin_cos();
+            let rot = |p: Point3| Point3::new(c * p.x - s * p.y, s * p.x + c * p.y, p.z);
+            let rot_eye = rot(*eye);
+            check_eye_margin(tin.vertices().iter().map(|&v| rot(v).x), rot_eye.x)?;
+            let vp = Viewpoint { vx: rot_eye.x, vy: rot_eye.y, vz: rot_eye.z };
+            clip = (*fov < PI).then(|| (0.5 * fov).tan());
+            resolution = Some(*pixels);
+            Some(if alpha.abs() < 1e-15 {
+                tin.remap_vertices(|p| vp.project(p))?
+            } else {
+                tin.remap_vertices(|p| vp.project(rot(p)))?
+            })
+        }
+        Projection::Viewshed { observer, targets } => {
+            check_eye_margin(tin.vertices().iter().map(|v| v.x), observer.x)?;
+            let vp = Viewpoint { vx: observer.x, vy: observer.y, vz: observer.z };
+            // An empty target list classifies the terrain's own vertices.
+            let points = if targets.is_empty() {
+                tin.vertices()
+            } else {
+                targets
+            };
+            queries = Some(points.iter().map(|&p| vp.project(p)).collect::<Vec<_>>());
+            Some(tin.remap_vertices(|p| vp.project(p))?)
+        }
+    };
+    let image = remapped.as_ref().unwrap_or(tin);
+
+    // One projection + ordering pass, shared by the target
+    // classification and the engine.
+    let (ordered, verdicts) = {
+        let edges = project_edges(image);
+        let order = if view.config.parallel_order {
+            depth_order_parallel(image)?
+        } else {
+            depth_order(image)?
+        };
+        let verdicts =
+            queries.map_or_else(Vec::new, |q| classify_points(image, &edges, &order, &q));
+        let ordered: Vec<SceneEdge> = order.iter().map(|&e| edges[e as usize]).collect();
+        (ordered, verdicts)
+    };
+    let t_order = Instant::now();
+    let (out, t_phase1) = run_engine(&view.config, ordered);
+    let t_end = Instant::now();
+
+    let mut vis = out.vis;
+    if let Some(half) = clip {
+        vis.clip_abscissa(-half, half);
+        // Vertical points carry no geometry in the map; their abscissa
+        // is the shared image `y` of the edge endpoints.
+        vis.vertical_visible.retain(|&e| {
+            let [a, _] = image.edges()[e as usize];
+            (-half..=half).contains(&image.vertices()[a as usize].y)
+        });
+    }
+    drop(scope);
+    Ok(Report {
+        n: image.edges().len(),
+        k: vis.output_size(),
+        vis,
+        cost: collector.report(),
+        timings: Timings {
+            order_s: (t_order - t_start).as_secs_f64(),
+            phase1_s: (t_phase1 - t_order).as_secs_f64(),
+            phase2_s: (t_end - t_phase1).as_secs_f64(),
+            total_s: (t_end - t_start).as_secs_f64(),
+        },
+        layers: out.layers,
+        internal_crossings: out.internal_crossings,
+        verdicts,
+        resolution,
     })
 }
 
@@ -335,121 +433,6 @@ pub fn evaluate_span(report: &Report) -> hsr_obs::SpanRecord {
         at += dur;
     }
     root
-}
-
-/// The body of [`evaluate`]; runs with the evaluation's collector
-/// installed, so every instrumented path below charges the right scope.
-/// The collector is also handed to the pipeline's `*_scoped` entry
-/// points, so the hot loops update one collector chain rather than a
-/// nested pair whose inner report would be thrown away.
-fn evaluate_under_collector(
-    tin: &Tin,
-    view: &View,
-    collector: &CostCollector,
-) -> Result<Report, HsrError> {
-    match &view.projection {
-        Projection::Orthographic { azimuth } => {
-            if !azimuth.is_finite() {
-                return Err(HsrError::InvalidView("azimuth must be finite".into()));
-            }
-            let report = if *azimuth == 0.0 {
-                pipeline::run_scoped(tin, &view.config, collector)?
-            } else {
-                pipeline::run_scoped(&tin.rotated_about_z(*azimuth)?, &view.config, collector)?
-            };
-            Ok(Report::from_result(report))
-        }
-        Projection::Perspective { eye, look, fov, resolution } => {
-            if !(fov.is_finite() && *fov > 0.0 && *fov <= std::f64::consts::PI) {
-                return Err(HsrError::InvalidView(format!("fov must lie in (0, π], got {fov}")));
-            }
-            if *resolution == 0 {
-                return Err(HsrError::InvalidView("resolution must be ≥ 1".into()));
-            }
-            if !eye.is_finite() {
-                return Err(HsrError::InvalidView("eye must be finite".into()));
-            }
-            let (dx, dy) = (look.x - eye.x, look.y - eye.y);
-            if !(dx.is_finite() && dy.is_finite()) || (dx == 0.0 && dy == 0.0) {
-                return Err(HsrError::InvalidView(
-                    "eye and look must have distinct, finite ground positions".into(),
-                ));
-            }
-            // Rotate the scene so the look direction becomes `-x` (the
-            // pipeline's view axis). Rotating a vector at angle θ by
-            // α = π − θ lands it at angle π, i.e. along −x.
-            let alpha = std::f64::consts::PI - dy.atan2(dx);
-            let (s, c) = alpha.sin_cos();
-            let rot = |p: Point3| Point3::new(c * p.x - s * p.y, s * p.x + c * p.y, p.z);
-            let rot_eye = rot(*eye);
-            check_eye_depth(tin.vertices().iter().map(|&v| rot(v).x), rot_eye.x)?;
-            let vp = Viewpoint { vx: rot_eye.x, vy: rot_eye.y, vz: rot_eye.z };
-            let ptin = if alpha.abs() < 1e-15 {
-                tin.remap_vertices(|p| vp.project(p))?
-            } else {
-                tin.remap_vertices(|p| vp.project(rot(p)))?
-            };
-            let mut report =
-                Report::from_result(pipeline::run_scoped(&ptin, &view.config, collector)?);
-            if *fov < std::f64::consts::PI {
-                let half = (0.5 * fov).tan();
-                report.vis.clip_abscissa(-half, half);
-                // Vertical points carry no geometry in the map; their
-                // abscissa is the shared image `y` of the edge endpoints.
-                report.vis.vertical_visible.retain(|&e| {
-                    let [a, _] = ptin.edges()[e as usize];
-                    let y = ptin.vertices()[a as usize].y;
-                    (-half..=half).contains(&y)
-                });
-                report.k = report.vis.output_size();
-            }
-            report.resolution = Some(*resolution);
-            Ok(report)
-        }
-        Projection::Viewshed { observer, targets } => {
-            if !observer.is_finite() {
-                return Err(HsrError::InvalidView("observer must be finite".into()));
-            }
-            check_eye_depth(tin.vertices().iter().map(|v| v.x), observer.x)?;
-            for (i, t) in targets.iter().enumerate() {
-                if !t.is_finite() {
-                    return Err(HsrError::InvalidView(format!("target {i} is not finite")));
-                }
-                if t.x >= observer.x {
-                    return Err(HsrError::InvalidView(format!(
-                        "target {i} lies at or behind the observer depth"
-                    )));
-                }
-            }
-            // One projection + ordering pass shared by the point
-            // classification and the pipeline run. The evaluation's
-            // collector already counts this prep (cost needs no
-            // re-bracketing); only the order timing is widened below.
-            let t_start = std::time::Instant::now();
-            let vp = Viewpoint { vx: observer.x, vy: observer.y, vz: observer.z };
-            let ptin = tin.remap_vertices(|p| vp.project(p))?;
-            let edges = project_edges(&ptin);
-            let order = if view.config.parallel_order {
-                crate::order::depth_order_parallel(&ptin)?
-            } else {
-                crate::order::depth_order(&ptin)?
-            };
-            let queries: Vec<Point3> = if targets.is_empty() {
-                tin.vertices().iter().map(|&p| vp.project(p)).collect()
-            } else {
-                targets.iter().map(|&p| vp.project(p)).collect()
-            };
-            let verdicts = classify_points(&ptin, &edges, &order, &queries);
-            let prep_s = t_start.elapsed().as_secs_f64();
-            let mut result =
-                pipeline::run_prepared_scoped(&ptin, &view.config, &edges, &order, collector);
-            result.timings.order_s += prep_s;
-            result.timings.total_s += prep_s;
-            let mut report = Report::from_result(result);
-            report.verdicts = verdicts;
-            Ok(report)
-        }
-    }
 }
 
 /// Evaluates a batch of views against one shared terrain, in parallel.
@@ -512,44 +495,48 @@ mod tests {
     }
 
     #[test]
-    fn orthographic_zero_matches_pipeline() {
-        let tin = gen::fbm(9, 9, 3, 8.0, 13).to_tin().unwrap();
-        let a = evaluate(&tin, &View::orthographic(0.0)).unwrap();
-        let b = pipeline::run(&tin, &HsrConfig::default()).unwrap();
-        assert_eq!(fingerprint(&a.vis), fingerprint(&b.vis));
-        assert_eq!((a.n, a.k), (b.n, b.k));
-    }
-
-    #[test]
     fn evaluate_span_mirrors_the_report() {
         let tin = gen::fbm(8, 8, 3, 8.0, 7).to_tin().unwrap();
-        let report = evaluate(&tin, &View::orthographic(0.0)).unwrap();
-        let root = &evaluate_span(&report);
-        assert_eq!(root.name, "evaluate");
-        let names: Vec<&str> = root.children.iter().map(|c| c.name.as_str()).collect();
-        assert_eq!(names, ["order", "phase1", "phase2"]);
-        // Wall-clock and cost attribution both ride on the span.
-        assert_eq!(root.dur_ns, (report.timings.total_s * 1e9) as u64);
-        assert_eq!(root.work, report.cost.total_work());
-        assert_eq!(root.pred_filter, report.cost.work_of(Category::PredicateFilter));
-        // The pipeline stages tile the evaluation: children are
-        // contiguous and their sum covers at least half of the root (the
-        // remainder is projection/bookkeeping outside the three stages).
-        let sum = root.stage_sum_ns();
-        assert!(sum <= root.dur_ns);
-        assert!(
-            sum as f64 >= root.dur_ns as f64 * 0.5,
-            "stages {} vs total {}",
-            sum,
-            root.dur_ns
-        );
+        let (lo, hi) = tin.ground_bounds();
+        let front = Point3::new(hi.x + 30.0, 0.5 * (lo.y + hi.y), 20.0);
+        let center = Point3::new(0.5 * (lo.x + hi.x), front.y, 0.0);
+        // Every projection takes the same path, so its stages tile the
+        // evaluation the same way: the canonical view, a rotated one, a
+        // perspective view and a viewshed.
+        for view in [
+            View::orthographic(0.0),
+            View::orthographic(0.7),
+            View::perspective(front, center, 1.2, 64),
+            View::viewshed(front, vec![Point3::new(center.x, center.y, 30.0)]),
+        ] {
+            let report = evaluate(&tin, &view).unwrap();
+            let root = &evaluate_span(&report);
+            assert_eq!(root.name, "evaluate");
+            let names: Vec<&str> = root.children.iter().map(|c| c.name.as_str()).collect();
+            assert_eq!(names, ["order", "phase1", "phase2"]);
+            // Wall-clock and cost attribution both ride on the span.
+            assert_eq!(root.dur_ns, (report.timings.total_s * 1e9) as u64);
+            assert_eq!(root.work, report.cost.total_work());
+            assert_eq!(root.pred_filter, report.cost.work_of(Category::PredicateFilter));
+            // The pipeline stages tile the evaluation: children are
+            // contiguous and their sum covers at least half of the root
+            // (the remainder is bookkeeping outside the three stages).
+            let sum = root.stage_sum_ns();
+            assert!(sum <= root.dur_ns);
+            assert!(
+                sum as f64 >= root.dur_ns as f64 * 0.5,
+                "{view:?}: stages {} vs total {}",
+                sum,
+                root.dur_ns
+            );
+        }
     }
 
     #[test]
     fn rotated_view_matches_rotated_terrain() {
         let tin = gen::gaussian_hills(8, 8, 3, 6).to_tin().unwrap();
         let a = evaluate(&tin, &View::orthographic(0.4)).unwrap();
-        let b = pipeline::run(&tin.rotated_about_z(0.4).unwrap(), &HsrConfig::default()).unwrap();
+        let b = evaluate(&tin.rotated_about_z(0.4).unwrap(), &View::orthographic(0.0)).unwrap();
         assert_eq!(fingerprint(&a.vis), fingerprint(&b.vis));
     }
 
@@ -562,7 +549,7 @@ mod tests {
         let look = Point3::new(eye.x - 1.0, eye.y, 0.0);
         let a = evaluate(&tin, &View::perspective(eye, look, std::f64::consts::PI, 640)).unwrap();
         let ptin = perspective_tin(&tin, Viewpoint { vx: eye.x, vy: eye.y, vz: eye.z }).unwrap();
-        let b = pipeline::run(&ptin, &HsrConfig::default()).unwrap();
+        let b = evaluate(&ptin, &View::orthographic(0.0)).unwrap();
         assert_eq!(fingerprint(&a.vis), fingerprint(&b.vis));
         assert_eq!(a.resolution, Some(640));
     }
@@ -725,21 +712,6 @@ mod tests {
         assert_eq!(m.verdicts, vec![Verdict::Visible, Verdict::Hidden, Verdict::Hidden]);
     }
 
-    #[test]
-    fn compat_key_tracks_config_not_geometry() {
-        let a = View::orthographic(0.0);
-        let b = View::viewshed(Point3::new(9.0, 0.0, 3.0), Vec::new());
-        assert_eq!(a.compat_key(), b.compat_key());
-        assert_ne!(
-            a.compat_key(),
-            View::orthographic(0.0)
-                .algorithm(Algorithm::Sequential)
-                .compat_key()
-        );
-        assert_ne!(a.compat_key(), View::orthographic(0.0).stats(true).compat_key());
-        assert_ne!(a.compat_key(), View::orthographic(0.0).parallel_order(false).compat_key());
-    }
-
     #[cfg(feature = "serde")]
     #[test]
     fn views_roundtrip_through_json() {
@@ -754,7 +726,7 @@ mod tests {
             let json = serde_json::to_string(&view).unwrap();
             let back: View = serde_json::from_str(&json).unwrap();
             assert_eq!(back, view, "json was {json}");
-            assert_eq!(back.compat_key(), view.compat_key());
+            assert_eq!(back.config, view.config);
         }
     }
 

@@ -1,13 +1,13 @@
 //! A concurrent visibility-query service over the HSR pipeline.
 //!
-//! PRs 2–4 built the evaluation machinery — the multi-view `Session`
-//! API, scoped per-view cost accounting, and out-of-core tiled
-//! evaluation. This crate is the layer that accepts *requests* and
-//! turns them into batched evaluations: the workload of a
-//! viewshed/visibility service over massive grid terrains (Haverkort &
-//! Toma's setting), made schedulable by the paper's output-size
-//! sensitive bound — per-request cost counters arrive with every
-//! response.
+//! The workspace below this crate holds the evaluation machinery — one
+//! [`hsr_core::view::evaluate`] per view with its batched fan-outs,
+//! scoped per-view cost accounting, and out-of-core tiled evaluation.
+//! This crate is the layer that accepts *requests* and turns them into
+//! batched evaluations: the workload of a viewshed/visibility service
+//! over massive grid terrains (Haverkort & Toma's setting), made
+//! schedulable by the paper's output-size sensitive bound — per-request
+//! cost counters arrive with every response.
 //!
 //! * [`protocol`] — newline-delimited JSON over TCP; [`Request`] wraps
 //!   an [`hsr_core::view::View`], [`Response`] carries the full
@@ -21,8 +21,8 @@
 //!   immediate [`ErrorKind::Overloaded`] rejection, and a bounded
 //!   worker pool that pulls from that queue. Each worker **coalesces**:
 //!   it takes the oldest queued request plus every queued request
-//!   targeting the same terrain with compatible config
-//!   ([`hsr_core::view::CompatKey`]), evaluates them as one
+//!   targeting the same terrain with the same pipeline configuration
+//!   ([`hsr_core::pipeline::HsrConfig`]), evaluates them as one
 //!   `evaluate_batch`/`eval_many` fan-out, and *enqueues* the
 //!   responses instead of blocking on client sockets. No timer holds a
 //!   request back: a lone request starts as soon as a worker is free,

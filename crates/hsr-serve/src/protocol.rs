@@ -8,9 +8,9 @@
 //! the library vocabulary directly: an eval request wraps an
 //! [`hsr_core::view::View`] (projection + per-view pipeline config) and
 //! a successful response carries the full [`hsr_core::view::Report`],
-//! bit-identical to what a local `Scene::session().eval(view)` of the
-//! same terrain returns (the JSON float codec is round-trip exact for
-//! finite values).
+//! bit-identical to what a local [`hsr_core::view::evaluate`] of the
+//! same view on the same terrain returns (the JSON float codec is
+//! round-trip exact for finite values).
 //!
 //! # Request encoding
 //!

@@ -14,7 +14,7 @@
 //!                                                               │  oldest job +
 //!                                                               │  its queued
 //!                                                               │  (terrain,
-//!                                                               │  CompatKey)
+//!                                                               │  HsrConfig)
 //!                                                               │  matches
 //!                                                               │    ▼
 //!                                                               └─ worker pool
@@ -28,7 +28,7 @@
 //! Backpressure is one bounded queue. A shard admits the eval jobs of
 //! one read drain under a single lock acquisition, and the workers pull
 //! from the same queue: each takes the oldest job plus every queued job
-//! with the same `(terrain, CompatKey)`, up to
+//! with the same `(terrain, HsrConfig)`, up to
 //! [`ServeConfig::max_batch`]. A busy pool leaves jobs queued, and once
 //! [`ServeConfig::queue_depth`] are waiting the event loops reject new
 //! requests immediately with [`ErrorKind::Overloaded`] instead of
@@ -348,22 +348,24 @@ fn refuse(job: &Job, kind: ErrorKind) {
 }
 
 /// Takes the oldest queued job plus every later job with the same
-/// `(terrain, CompatKey)`, up to `max_batch` jobs in arrival order; the
-/// jobs left behind keep their order. The oldest job always leaves
-/// first, so no key can starve. Views with equal keys against the same
-/// terrain evaluate identically alone or batched (scoped per-view cost
-/// collectors), so grouping is purely a throughput decision — one
-/// prepared-scene lookup and one parallel fan-out per group.
+/// terrain and the same pipeline configuration (`view.config`, an
+/// [`hsr_core::pipeline::HsrConfig`]), up to `max_batch` jobs in arrival
+/// order; the jobs left behind keep their order. The oldest job always
+/// leaves first, so no configuration can starve. Views with equal
+/// configs against the same terrain evaluate identically alone or
+/// batched (scoped per-view cost collectors), so grouping is purely a
+/// throughput decision — one prepared-scene lookup and one parallel
+/// fan-out per group.
 fn take_group(queue: &mut VecDeque<Job>, max_batch: usize) -> Vec<Job> {
     let Some(first) = queue.pop_front() else {
         return Vec::new();
     };
-    let key = first.request.view.compat_key();
+    let config = first.request.view.config;
     let mut group = vec![first];
     let mut i = 0;
     while group.len() < max_batch {
         let Some(job) = queue.get(i) else { break };
-        if job.request.terrain == group[0].request.terrain && job.request.view.compat_key() == key {
+        if job.request.terrain == group[0].request.terrain && job.request.view.config == config {
             group.extend(queue.remove(i));
         } else {
             i += 1;
@@ -932,7 +934,7 @@ mod tests {
     }
 
     #[test]
-    fn coalesce_groups_by_terrain_and_compat_key() {
+    fn coalesce_groups_by_terrain_and_config() {
         let obs = Point3::new(50.0, 2.0, 8.0);
         let queued = || {
             VecDeque::from(vec![

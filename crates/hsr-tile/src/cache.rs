@@ -10,7 +10,9 @@
 //! lookup that finds its key in flight waits for that load instead of
 //! starting a second one. The loaded value is committed under the lock:
 //! evict the least recently used evictable entry, then insert. A failed
-//! load therefore evicts nothing.
+//! load therefore evicts nothing. Invalidating a key while it loads
+//! marks the load stale: its value still answers the lookup that loaded
+//! it, but is not made resident, so the next lookup loads afresh.
 //!
 //! Which entries may be evicted is a rule the owning code fixes at
 //! construction. The resident-tile cache ([`SceneCache`]) pins every
@@ -23,7 +25,7 @@ use crate::pyramid::TileId;
 use hsr_obs::{lock_unpoisoned, Recorder};
 use hsr_terrain::Tin;
 use std::borrow::Borrow;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
@@ -47,7 +49,9 @@ pub(crate) fn unpinned(tin: &Arc<Tin>) -> bool {
 pub struct CacheStats {
     /// Calls to [`Lru::get_or_load`].
     pub lookups: u64,
-    /// Values loaded and made resident (successful misses).
+    /// Successful misses: values loaded and made resident, or — when an
+    /// [`Lru::invalidate`] overtook the load — handed to the loading
+    /// lookup only.
     pub loads: u64,
     /// Lookups served from a resident value.
     pub hits: u64,
@@ -89,8 +93,9 @@ struct Entry<V> {
 
 struct State<K, V> {
     map: HashMap<K, Entry<V>>,
-    /// Keys whose loader is running outside the lock.
-    loading: HashSet<K>,
+    /// Keys whose loader is running outside the lock, each with whether
+    /// an invalidation has made that load stale.
+    loading: HashMap<K, bool>,
     tick: u64,
     stats: CacheStats,
 }
@@ -119,7 +124,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Lru<K, V> {
             evictable,
             state: Mutex::new(State {
                 map: HashMap::new(),
-                loading: HashSet::new(),
+                loading: HashMap::new(),
                 tick: 0,
                 stats: CacheStats::default(),
             }),
@@ -157,12 +162,20 @@ impl<K: Hash + Eq + Clone, V: Clone> Lru<K, V> {
 
     /// Drops exactly `key`'s entry, if resident, and counts it in
     /// `invalidations`. Returns whether anything was resident.
+    ///
+    /// A load of `key` already in flight read the source before this
+    /// call, so it is marked stale: its value answers the lookup that
+    /// loaded it but is not made resident, and lookups waiting on it
+    /// load the key afresh.
     pub fn invalidate<Q>(&self, key: &Q) -> bool
     where
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
         let mut state = lock_unpoisoned(&self.state);
+        if let Some(stale) = state.loading.get_mut(key) {
+            *stale = true;
+        }
         let dropped = state.map.remove(key).is_some();
         if dropped {
             state.stats.resident = state.map.len();
@@ -175,10 +188,11 @@ impl<K: Hash + Eq + Clone, V: Clone> Lru<K, V> {
     ///
     /// The loader runs outside the cache lock; a lookup of the same key
     /// meanwhile waits for it and then counts a hit. If that load failed,
-    /// the waiting lookup loads the key itself. A failed or panicking
-    /// `load` evicts nothing and counts one error. Returns `None`, also
-    /// counted as an error, when the cache is full and no resident entry
-    /// is evictable; the loaded value is then dropped.
+    /// or an [`Lru::invalidate`] made it stale, the waiting lookup loads
+    /// the key itself. A failed or panicking `load` evicts nothing and
+    /// counts one error. Returns `None`, also counted as an error, when
+    /// the cache is full and no resident entry is evictable; the loaded
+    /// value is then dropped.
     pub fn get_or_load<Q, E>(
         &self,
         key: &Q,
@@ -213,9 +227,9 @@ impl<K: Hash + Eq + Clone, V: Clone> Lru<K, V> {
                 self.count(&mut s.stats, Event::Hit);
                 return Ok(value);
             }
-            if !s.loading.contains(key) {
+            if !s.loading.contains_key(key) {
                 let key = key.to_owned();
-                s.loading.insert(key.clone());
+                s.loading.insert(key.clone(), false);
                 return Err(InFlight { lru: self, key, done: false });
             }
             state = self
@@ -274,8 +288,9 @@ impl<K: Hash + Eq + Clone, V: Clone> Lru<K, V> {
 
 /// A key marked in flight. Committing the load's outcome clears the mark
 /// under the same lock acquisition that records the outcome, so a woken
-/// waiter sees either the entry or the failure. If the loader panics,
-/// dropping the mark clears it instead, so the key stays loadable.
+/// waiter sees either the entry or the key free to load. If the loader
+/// panics, dropping the mark clears it instead, so the key stays
+/// loadable.
 struct InFlight<'a, K: Hash + Eq + Clone, V: Clone> {
     lru: &'a Lru<K, V>,
     key: K,
@@ -286,9 +301,15 @@ impl<K: Hash + Eq + Clone, V: Clone> InFlight<'_, K, V> {
     fn commit<E>(mut self, loaded: Result<V, E>) -> Option<Result<V, E>> {
         let lru = self.lru;
         let mut state = lock_unpoisoned(&lru.state);
-        state.loading.remove(&self.key);
+        let stale = state.loading.remove(&self.key) == Some(true);
         self.done = true;
         let outcome = match loaded {
+            // An invalidation overtook this load: answer its own lookup
+            // only, so nothing read before the invalidation turns resident.
+            Ok(value) if stale => {
+                lru.count(&mut state.stats, Event::Load);
+                Some(Ok(value))
+            }
             Ok(value) => lru.insert(&mut state, self.key.clone(), value).map(Ok),
             Err(e) => {
                 lru.count(&mut state.stats, Event::Error);
@@ -525,6 +546,39 @@ mod tests {
         assert_eq!(slow.join().unwrap().unwrap().unwrap(), 2);
         let s = cache.stats();
         assert_eq!((s.lookups, s.hits, s.loads), (3, 1, 2));
+    }
+
+    /// Regression: `invalidate` once dropped only resident entries, so a
+    /// load already in flight (reading the source before an overwrite)
+    /// committed its stale value afterwards and served it as a hit.
+    #[test]
+    fn invalidating_a_key_in_flight_discards_that_load() {
+        let cache = Arc::new(Lru::<String, u32>::new(2, |_| true));
+        let (started_tx, started) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel::<()>();
+        let stale = {
+            let cache = Arc::clone(&cache);
+            std::thread::spawn(move || {
+                cache.get_or_load("cat", || {
+                    started_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    Ok::<_, ()>(1)
+                })
+            })
+        };
+        started.recv().unwrap();
+        // The loader is parked: nothing is resident yet.
+        assert!(!cache.invalidate("cat"));
+        release.send(()).unwrap();
+        // The overtaken load still answers the lookup that ran it…
+        assert_eq!(stale.join().unwrap(), Some(Ok(1)));
+        // …but is not resident: the next lookup runs its own loader.
+        assert_eq!(cache.get_or_load("cat", || Ok::<_, ()>(2)), Some(Ok(2)));
+        assert_eq!(cache.get_or_load("cat", || Ok::<_, ()>(3)), Some(Ok(2)));
+        let s = cache.stats();
+        assert_eq!((s.lookups, s.loads, s.hits, s.errors), (3, 2, 1, 0));
+        assert_eq!(s.hits + s.loads + s.errors, s.lookups);
+        assert_eq!((s.resident, s.invalidations), (1, 0));
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! 2. **picking a level of detail per tile** from its ground distance to
 //!    the eye (or a fixed level override);
 //! 3. **evaluating** the resident tiles in capacity-bounded chunks
-//!    through the same parallel fan-out that powers `Session::eval_batch`
-//!    ([`hsr_core::view::evaluate_many`]);
+//!    through the parallel fan-out of [`hsr_core::view::evaluate_many`],
+//!    the one evaluation path every monolithic view takes too;
 //! 4. **stitching** the per-tile [`Report`]s into one merged report
 //!    ([`Report::absorb`]): concatenated visibility maps with disjoint
 //!    edge-id ranges, summed cost/timings, and pointwise-merged viewshed
@@ -32,6 +32,7 @@ use crate::pyramid::{PyramidMeta, TileId, TilePyramid, TilingConfig};
 use crate::store::{TileStore, TileStoreError};
 use hsr_core::error::HsrError;
 use hsr_core::view::{evaluate_many, Projection, Report, View};
+use hsr_core::viewshed::Verdict;
 use hsr_terrain::tin::TinError;
 use hsr_terrain::{GridTerrain, Tin};
 use std::sync::Arc;
@@ -291,10 +292,11 @@ impl TiledScene {
             next: usize,
             failed: Option<TiledError>,
         }
-        let mut stitches: Vec<Stitch> = selections
+        let mut stitches: Vec<Stitch> = views
             .iter()
-            .map(|sel| Stitch {
-                report: Report::empty(),
+            .zip(&selections)
+            .map(|(view, sel)| Stitch {
+                report: Report { verdicts: unoccluded(view), ..Report::empty() },
                 tiles: Vec::with_capacity(sel.len()),
                 edge_offset: 0,
                 next: 0,
@@ -393,8 +395,12 @@ impl TiledScene {
     }
 
     /// The tiles a view needs, each at its level of detail, in row-major
-    /// sweep order.
+    /// sweep order. The view is validated first, by the same
+    /// [`View::validate`] the monolithic [`hsr_core::view::evaluate`]
+    /// runs, so an invalid view fails before any tile loads; the one
+    /// tiled-only rule is that a viewshed names explicit targets.
     fn select(&self, view: &View) -> Result<Vec<TileId>, TiledError> {
+        view.validate()?;
         let meta = &self.meta;
         let level_for = |eye: Option<(f64, f64)>, ti: u32, tj: u32| -> u32 {
             if let Some(level) = self.cfg.fixed_level {
@@ -416,25 +422,8 @@ impl TiledScene {
                 }
             }
             Projection::Perspective { eye, look, fov, .. } => {
-                if !eye.is_finite() || !look.is_finite() || !fov.is_finite() {
-                    return Err(
-                        HsrError::InvalidView("perspective view must be finite".into()).into()
-                    );
-                }
                 let apex = (eye.x, eye.y);
                 let dir = (look.x - eye.x, look.y - eye.y);
-                if dir.0 == 0.0 && dir.1 == 0.0 {
-                    return Err(HsrError::InvalidView(
-                        "eye and look must have distinct ground positions".into(),
-                    )
-                    .into());
-                }
-                if !(*fov > 0.0 && *fov <= std::f64::consts::PI) {
-                    return Err(HsrError::InvalidView(format!(
-                        "fov must lie in (0, π], got {fov}"
-                    ))
-                    .into());
-                }
                 for (ti, tj) in meta.tile_coords() {
                     let (lo, hi) = meta.ground_aabb(ti, tj);
                     if wedge_intersects_aabb(apex, dir, 0.5 * fov, lo, hi) {
@@ -450,9 +439,6 @@ impl TiledScene {
                          could not be aligned — materialize the query points instead"
                             .into(),
                     ));
-                }
-                if !observer.is_finite() {
-                    return Err(HsrError::InvalidView("observer must be finite".into()).into());
                 }
                 let obs = (observer.x, observer.y);
                 for (ti, tj) in meta.tile_coords() {
@@ -470,6 +456,18 @@ impl TiledScene {
             }
         }
         Ok(out)
+    }
+}
+
+/// The verdicts a viewshed stitch starts from: every target visible.
+/// `Visible` is the identity of the hidden-dominates merge in
+/// [`Report::absorb`], so a stitch with parts ends where it did without
+/// this start, and a target whose sight line crosses no tile answers
+/// `Visible`, as in the monolithic scene, instead of going missing.
+fn unoccluded(view: &View) -> Vec<Verdict> {
+    match &view.projection {
+        Projection::Viewshed { targets, .. } => vec![Verdict::Visible; targets.len()],
+        _ => Vec::new(),
     }
 }
 

@@ -6,10 +6,11 @@
 //! 2. **Bounded residency** — on a ≥ 4M-cell terrain with a small cache
 //!    cap, the peak resident tile count never exceeds the cap.
 
+use hsr_core::error::HsrError;
 use hsr_core::view::{evaluate, View};
 use hsr_geometry::Point3;
 use hsr_terrain::gen;
-use hsr_tile::{TileStore, TiledScene, TiledSceneConfig, TilingConfig};
+use hsr_tile::{TileStore, TiledError, TiledScene, TiledSceneConfig, TilingConfig};
 use std::path::PathBuf;
 
 fn scratch_dir(name: &str) -> PathBuf {
@@ -246,6 +247,54 @@ fn empty_target_viewsheds_are_rejected_with_guidance() {
         .unwrap_err();
     assert!(matches!(err, hsr_tile::TiledError::UnsupportedView(_)));
     assert!(err.to_string().contains("explicit targets"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A 17×17 terrain tiled 4×4, for the tiled-vs-monolithic edge cases.
+fn sixteen_tiles(name: &str) -> (hsr_terrain::Tin, TiledScene, PathBuf) {
+    let grid = gen::diamond_square(4, 0.5, 6.0, 5);
+    let dir = scratch_dir(name);
+    let scene = TiledScene::build(
+        &grid,
+        TilingConfig { tile_size: 4, levels: 1 },
+        TileStore::create(&dir).unwrap(),
+        TiledSceneConfig::default(),
+    )
+    .unwrap();
+    assert_eq!(scene.meta().tile_count(), 16);
+    (grid.to_tin().unwrap(), scene, dir)
+}
+
+#[test]
+fn viewshed_target_whose_sight_line_misses_every_tile_answers_like_monolithic() {
+    let (tin, scene, dir) = sixteen_tiles("off-tiles");
+    // Terrain spans x ∈ [0, 16]; the sight line runs over open ground in
+    // front of it, so no tile is selected.
+    let view = View::viewshed(Point3::new(100.0, 8.0, 9.0), vec![Point3::new(50.0, 8.0, 5.0)]);
+    let mono = evaluate(&tin, &view).unwrap();
+    let tiled = scene.eval(&view).unwrap();
+    assert!(tiled.tiles.is_empty(), "the sight line crosses no tile");
+    assert_eq!(mono.verdicts, vec![hsr_core::viewshed::Verdict::Visible]);
+    assert_eq!(tiled.report.verdicts, mono.verdicts, "verdict i must answer target i");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn invalid_views_fail_like_monolithic_before_any_tile_loads() {
+    let (tin, scene, dir) = sixteen_tiles("invalid");
+    let observer = Point3::new(100.0, 8.0, 9.0);
+    for view in [
+        View::orthographic(f64::NAN),
+        View::perspective(Point3::new(60.0, 8.0, 20.0), Point3::new(0.0, 8.0, 0.0), 1.0, 0),
+        // A target at a depth behind the observer.
+        View::viewshed(observer, vec![Point3::new(120.0, 8.0, 5.0)]),
+    ] {
+        assert!(matches!(evaluate(&tin, &view), Err(HsrError::InvalidView(_))), "{view:?}");
+        let lookups = scene.cache_stats().lookups;
+        let err = scene.eval(&view).unwrap_err();
+        assert!(matches!(err, TiledError::Hsr(HsrError::InvalidView(_))), "{view:?}: {err}");
+        assert_eq!(scene.cache_stats().lookups, lookups, "{view:?} looked tiles up");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -9,19 +9,16 @@
 use std::time::Instant;
 use terrain_hsr::pram::{with_threads, BrentModel};
 use terrain_hsr::terrain::gen;
-use terrain_hsr::{SceneBuilder, View};
+use terrain_hsr::{Scene, View};
 
 fn main() {
     let grid = gen::fbm(128, 128, 5, 14.0, 3);
-    let scene = SceneBuilder::from_grid(&grid)
-        .build()
-        .expect("valid terrain");
-    let session = scene.session();
+    let scene = Scene::from_grid(&grid).expect("valid terrain");
     let (_, n_edges, _) = scene.counts();
 
     // Measure work and depth once; the evaluation's report carries its
     // own scoped counters (nothing global, nothing to reset).
-    let report = session.eval(&View::orthographic(0.0)).expect("acyclic");
+    let report = scene.eval(&View::orthographic(0.0)).expect("acyclic");
     let (work, depth) = (report.cost.total_work(), report.cost.total_depth());
     println!(
         "n = {n_edges}, k = {}: measured work = {work} tasks, structural depth = {depth}",
@@ -32,7 +29,7 @@ fn main() {
     let time_at = |p: usize| {
         with_threads(p, || {
             let t = Instant::now();
-            let r = session.eval(&View::orthographic(0.0)).expect("acyclic");
+            let r = scene.eval(&View::orthographic(0.0)).expect("acyclic");
             std::hint::black_box(r.k);
             t.elapsed().as_secs_f64()
         })

@@ -9,7 +9,7 @@
 
 use std::time::Instant;
 use terrain_hsr::terrain::gen;
-use terrain_hsr::{SceneBuilder, View};
+use terrain_hsr::{Scene, View};
 
 fn main() {
     let n = std::env::args()
@@ -18,17 +18,12 @@ fn main() {
         .unwrap_or(160usize);
     println!("generating a {n}×{n} fractal range…");
     let grid = gen::fbm(n, n, 6, 18.0, 7);
-    let scene = SceneBuilder::from_grid(&grid)
-        .build()
-        .expect("valid terrain");
+    let scene = Scene::from_grid(&grid).expect("valid terrain");
     let (nv, ne, nf) = scene.counts();
     println!("terrain: {nv} vertices, {ne} edges, {nf} faces");
 
     let t = Instant::now();
-    let report = scene
-        .session()
-        .eval(&View::orthographic(0.0))
-        .expect("acyclic");
+    let report = scene.eval(&View::orthographic(0.0)).expect("acyclic");
     println!(
         "object-space HSR: k = {} in {:.0} ms ({} pieces, {} crossings)",
         report.k,

@@ -3,7 +3,7 @@
 //! a crater field; each frame is a true perspective view computed by the
 //! ordinary pipeline after the projective pre-transform.
 //!
-//! All six frames go through one `Session` as a single batch: the
+//! All six frames go through one `Scene` as a single batch: the
 //! terrain's shared state is built once and the frames evaluate in
 //! parallel.
 //!
@@ -13,13 +13,10 @@
 
 use terrain_hsr::geometry::Point3;
 use terrain_hsr::terrain::gen;
-use terrain_hsr::{Algorithm, SceneBuilder, View};
+use terrain_hsr::{Algorithm, Scene, View};
 
 fn main() {
-    let scene = SceneBuilder::from_grid(&gen::craters(64, 64, 9, 21))
-        .build()
-        .expect("valid terrain");
-    let session = scene.session();
+    let scene = Scene::from_grid(&gen::craters(64, 64, 9, 21)).expect("valid terrain");
     let (lo, hi) = scene.tin().ground_bounds();
     let (_, zhi) = scene.tin().height_range();
     let mid_y = 0.5 * (lo.y + hi.y);
@@ -41,14 +38,14 @@ fn main() {
             View::perspective(eye, look, std::f64::consts::PI, 640)
         })
         .collect();
-    let reports = session.eval_batch(&frames);
+    let reports = scene.eval_batch(&frames);
 
     println!("| camera (x, z) | n | k | visible width | ms |");
     println!("|---|---|---|---|---|");
     for (view, report) in frames.iter().zip(reports) {
         let report = report.expect("camera outside the scene");
         // Sanity: the sequential baseline agrees frame by frame.
-        let seq = session
+        let seq = scene
             .eval(&view.clone().algorithm(Algorithm::Sequential))
             .unwrap();
         assert!(report.vis.agreement(&seq.vis) > 0.9999);

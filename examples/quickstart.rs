@@ -6,22 +6,19 @@
 //! ```
 
 use terrain_hsr::terrain::gen;
-use terrain_hsr::{Algorithm, SceneBuilder, View};
+use terrain_hsr::{Algorithm, Scene, View};
 
 fn main() {
     // A 64×64 fractal heightfield; the scene's shared state (edge set,
     // adjacency) is validated and built exactly once here.
     let grid = gen::fbm(64, 64, 5, 12.0, 42);
-    let scene = SceneBuilder::from_grid(&grid)
-        .build()
-        .expect("valid terrain");
+    let scene = Scene::from_grid(&grid).expect("valid terrain");
     let (nv, ne, nf) = scene.counts();
     println!("terrain: {nv} vertices, {ne} edges, {nf} faces");
 
     // The paper's parallel algorithm (PCT + persistent prefix profiles),
     // viewed from x = +∞.
-    let session = scene.session();
-    let report = session
+    let report = scene
         .eval(&View::orthographic(0.0))
         .expect("terrain input is acyclic");
     println!(
@@ -40,7 +37,7 @@ fn main() {
 
     // Cross-check against the sequential Reif–Sen baseline: same view,
     // different algorithm — one builder call away.
-    let seq = session
+    let seq = scene
         .eval(&View::orthographic(0.0).algorithm(Algorithm::Sequential))
         .unwrap();
     println!(

@@ -11,14 +11,11 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use terrain_hsr::geometry::Point3;
 use terrain_hsr::terrain::gen;
-use terrain_hsr::{SceneBuilder, Verdict, View};
+use terrain_hsr::{Scene, Verdict, View};
 
 fn main() {
     // Mountainous coast: ridges across the radar's line of sight.
-    let scene = SceneBuilder::from_grid(&gen::ridge_field(96, 96, 7, 16.0, 13))
-        .build()
-        .expect("valid terrain");
-    let session = scene.session();
+    let scene = Scene::from_grid(&gen::ridge_field(96, 96, 7, 16.0, 13)).expect("valid terrain");
     let (lo, hi) = scene.tin().ground_bounds();
     // The radar sits far off-shore beyond the terrain's maximum depth.
     let radar = Point3::new(hi.x + 5000.0, 0.5 * (lo.y + hi.y), 25.0);
@@ -42,7 +39,7 @@ fn main() {
             View::viewshed(radar, fleet)
         })
         .collect();
-    let reports = session.eval_batch(&views);
+    let reports = scene.eval_batch(&views);
 
     println!("terrain: {} edges; radar at x = {:.0}", scene.counts().1, radar.x);
     println!("| altitude | aircraft | visible | coverage |");

@@ -12,7 +12,8 @@
 
 use terrain_hsr::geometry::Point3;
 use terrain_hsr::terrain::gen;
-use terrain_hsr::{TiledSceneBuilder, Verdict, View};
+use terrain_hsr::tile::{TileStore, TilingConfig};
+use terrain_hsr::{TiledScene, TiledSceneConfig, Verdict, View};
 
 const CACHE_CAP: usize = 6;
 
@@ -23,13 +24,13 @@ fn main() {
 
     let dir = std::env::temp_dir().join(format!("tiled-viewshed-{}", std::process::id()));
     let t = std::time::Instant::now();
-    let scene = TiledSceneBuilder::from_grid(&grid)
-        .tile_size(128)
-        .levels(3)
-        .cache_capacity(CACHE_CAP)
-        .store_dir(&dir)
-        .build()
-        .expect("pyramid build");
+    let scene = TiledScene::build(
+        &grid,
+        TilingConfig { tile_size: 128, levels: 3 },
+        TileStore::create(&dir).expect("store dir"),
+        TiledSceneConfig { cache_capacity: CACHE_CAP, ..Default::default() },
+    )
+    .expect("pyramid build");
     println!(
         "pyramid: {}×{} tiles × {} levels materialized in {:.2}s at {}",
         scene.meta().tiles_i,

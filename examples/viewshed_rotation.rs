@@ -3,7 +3,7 @@
 //! direction — the same terrain can be cheap or expensive to display
 //! depending on where you stand.
 //!
-//! The whole sweep is one `Session` batch: twelve orthographic views
+//! The whole sweep is one `Scene` batch: twelve orthographic views
 //! evaluated in parallel against one shared terrain state (no per-angle
 //! TIN rebuild).
 //!
@@ -12,12 +12,10 @@
 //! ```
 
 use terrain_hsr::terrain::gen;
-use terrain_hsr::{SceneBuilder, View};
+use terrain_hsr::{Scene, View};
 
 fn main() {
-    let scene = SceneBuilder::from_grid(&gen::ridge_field(48, 48, 6, 14.0, 11))
-        .build()
-        .expect("valid terrain");
+    let scene = Scene::from_grid(&gen::ridge_field(48, 48, 6, 14.0, 11)).expect("valid terrain");
     let (_, n_edges, _) = scene.counts();
     println!("ridge terrain with {n_edges} edges, sweeping view direction:");
 
@@ -26,7 +24,7 @@ fn main() {
         .iter()
         .map(|&deg| View::orthographic((deg as f64).to_radians()))
         .collect();
-    let reports = scene.session().eval_batch(&sweep);
+    let reports = scene.eval_batch(&sweep);
 
     println!("| angle (deg) | k | k/n | visible width | ms |");
     println!("|---|---|---|---|---|");

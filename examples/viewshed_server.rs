@@ -12,15 +12,13 @@ use std::sync::Arc;
 use terrain_hsr::geometry::Point3;
 use terrain_hsr::serve::{Client, ServerBuilder, TerrainSource};
 use terrain_hsr::terrain::gen;
-use terrain_hsr::tiled::{TileStore, TilingConfig};
-use terrain_hsr::{SceneBuilder, TiledScene, TiledSceneConfig, Verdict, View};
+use terrain_hsr::tile::{TileStore, TilingConfig};
+use terrain_hsr::{Scene, TiledScene, TiledSceneConfig, Verdict, View};
 
 fn main() {
     // A 129×129 heightfield, built once into each backend.
     let grid = gen::diamond_square(7, 0.6, 18.0, 4242);
-    let scene = SceneBuilder::from_grid(&grid)
-        .build()
-        .expect("valid terrain");
+    let scene = Scene::from_grid(&grid).expect("valid terrain");
     let (lo, hi) = scene.tin().ground_bounds();
     let mid_y = 0.5 * (lo.y + hi.y);
 
@@ -55,7 +53,7 @@ fn main() {
         })
         .collect();
     let view = View::viewshed(observer, targets.clone());
-    let expected = scene.session().eval(&view).expect("local eval");
+    let expected = scene.eval(&view).expect("local eval");
 
     // Four clients race the two hosted backends.
     let view = Arc::new(view);

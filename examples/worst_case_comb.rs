@@ -9,7 +9,7 @@
 
 use std::time::Instant;
 use terrain_hsr::terrain::gen;
-use terrain_hsr::{Algorithm, Phase2Mode, SceneBuilder, View};
+use terrain_hsr::{Algorithm, Phase2Mode, Scene, View};
 
 fn main() {
     println!(
@@ -17,26 +17,23 @@ fn main() {
     );
     println!("|---|---|---|---|---|---|---|");
     for m in [8usize, 16, 32, 64] {
-        let scene = SceneBuilder::from_tin(gen::quadratic_comb(m))
-            .build()
-            .expect("comb is a valid terrain");
-        let session = scene.session();
+        let scene = Scene::from_tin(gen::quadratic_comb(m));
         let (_, n_edges, _) = scene.counts();
 
         let t = Instant::now();
-        let par = session
+        let par = scene
             .eval(&View::orthographic(0.0).phase2(Phase2Mode::Persistent))
             .unwrap();
         let t_par = t.elapsed().as_secs_f64() * 1e3;
 
         let t = Instant::now();
-        let seq = session
+        let seq = scene
             .eval(&View::orthographic(0.0).algorithm(Algorithm::Sequential))
             .unwrap();
         let t_seq = t.elapsed().as_secs_f64() * 1e3;
 
         let t = Instant::now();
-        let naive = session
+        let naive = scene
             .eval(&View::orthographic(0.0).algorithm(Algorithm::Naive))
             .unwrap();
         let t_naive = t.elapsed().as_secs_f64() * 1e3;

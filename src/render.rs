@@ -91,15 +91,13 @@ pub fn zbuffer_ppm(tin: &Tin, res: usize) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scene::{SceneBuilder, View};
+    use crate::scene::{Scene, View};
     use hsr_terrain::gen;
 
     #[test]
     fn svg_is_well_formed_and_counts_match_report() {
-        let scene = SceneBuilder::from_grid(&gen::fbm(8, 8, 3, 6.0, 5))
-            .build()
-            .unwrap();
-        let report = scene.session().eval(&View::orthographic(0.0)).unwrap();
+        let scene = Scene::from_grid(&gen::fbm(8, 8, 3, 6.0, 5)).unwrap();
+        let report = scene.eval(&View::orthographic(0.0)).unwrap();
         let svg = visibility_svg(&report.vis, 640.0);
         assert!(svg.starts_with("<svg"));
         assert!(svg.trim_end().ends_with("</svg>"));
@@ -119,12 +117,9 @@ mod tests {
 
     #[test]
     fn svg_is_deterministic_for_a_fixed_seed() {
-        let scene = SceneBuilder::from_grid(&gen::ridge_field(10, 10, 3, 8.0, 21))
-            .build()
-            .unwrap();
-        let session = scene.session();
-        let a = visibility_svg(&session.eval(&View::orthographic(0.3)).unwrap().vis, 800.0);
-        let b = visibility_svg(&session.eval(&View::orthographic(0.3)).unwrap().vis, 800.0);
+        let scene = Scene::from_grid(&gen::ridge_field(10, 10, 3, 8.0, 21)).unwrap();
+        let a = visibility_svg(&scene.eval(&View::orthographic(0.3)).unwrap().vis, 800.0);
+        let b = visibility_svg(&scene.eval(&View::orthographic(0.3)).unwrap().vis, 800.0);
         assert_eq!(a, b, "same seed + view must render byte-identically");
     }
 

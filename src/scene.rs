@@ -1,26 +1,24 @@
 //! High-level API: build a scene once, evaluate any number of views.
 //!
-//! Three layers:
-//!
-//! 1. [`SceneBuilder`] — names a terrain source (heightfield grid,
-//!    validated TIN, or raw vertices + triangles) and builds it into a
-//!    [`Scene`]: the validated terrain with its edge set and
-//!    edge↔triangle adjacency — the projection-independent state every
-//!    view shares.
+//! 1. [`Scene`] — the validated terrain with its edge set and
+//!    edge↔triangle adjacency, the projection-independent state every
+//!    view shares. Build it from a heightfield grid
+//!    ([`Scene::from_grid`]), raw vertices and triangles
+//!    ([`Scene::from_vertices`]) or an already validated TIN
+//!    ([`Scene::from_tin`]).
 //! 2. [`View`] — *where the viewer stands* plus the per-view pipeline
 //!    configuration, built fluently
 //!    (`View::orthographic(0.3).algorithm(Algorithm::Sequential)`).
-//! 3. [`Session`] — evaluates one view ([`Session::eval`]) or a batch in
-//!    parallel ([`Session::eval_batch`]) against the shared scene state,
-//!    returning a unified [`Report`] per view.
+//! 3. [`Scene::eval`] evaluates one view and [`Scene::eval_batch`] a
+//!    batch in parallel against the shared state, returning a unified
+//!    [`Report`] per view.
 //!
 //! ```
-//! use terrain_hsr::{SceneBuilder, View};
+//! use terrain_hsr::{Scene, View};
 //! use terrain_hsr::terrain::gen;
 //!
-//! let scene = SceneBuilder::from_grid(&gen::fbm(12, 12, 3, 6.0, 5)).build().unwrap();
-//! let session = scene.session();
-//! let report = session.eval(&View::orthographic(0.0)).unwrap();
+//! let scene = Scene::from_grid(&gen::fbm(12, 12, 3, 6.0, 5)).unwrap();
+//! let report = scene.eval(&View::orthographic(0.0)).unwrap();
 //! assert!(report.k > 0);
 //! ```
 
@@ -35,61 +33,64 @@ pub use hsr_core::view::{Projection, Report, View};
 pub use hsr_core::viewshed::Verdict;
 pub use hsr_pram::cost::{CostCollector, CostReport};
 
-/// Names a terrain source and validates it into a [`Scene`].
-pub struct SceneBuilder {
-    source: Source,
-}
-
-enum Source {
-    Grid(GridTerrain),
-    Tin(Tin),
-    Raw(Vec<Point3>, Vec<[u32; 3]>),
-}
-
-impl SceneBuilder {
-    /// A scene from a heightfield grid (triangulated on build).
-    pub fn from_grid(grid: &GridTerrain) -> SceneBuilder {
-        SceneBuilder { source: Source::Grid(grid.clone()) }
-    }
-
-    /// A scene from an already validated TIN.
-    pub fn from_tin(tin: Tin) -> SceneBuilder {
-        SceneBuilder { source: Source::Tin(tin) }
-    }
-
-    /// A scene from raw vertices and triangles (validated on build).
-    pub fn from_vertices(vertices: Vec<Point3>, triangles: Vec<[u32; 3]>) -> SceneBuilder {
-        SceneBuilder { source: Source::Raw(vertices, triangles) }
-    }
-
-    /// Validates the source and builds the shared scene state. This is
-    /// the only place the full TIN validation + adjacency construction
-    /// runs; every view evaluated through the scene's [`Session`] reuses
-    /// it.
-    pub fn build(self) -> Result<Scene, HsrError> {
-        let tin = match self.source {
-            Source::Grid(grid) => grid.to_tin()?,
-            Source::Tin(tin) => tin,
-            Source::Raw(vertices, triangles) => Tin::new(vertices, triangles)?,
-        };
-        Ok(Scene { tin: Arc::new(tin) })
-    }
-}
-
 /// A validated terrain with its shared, projection-independent state.
+///
+/// Building a scene is the only place the full TIN validation and
+/// adjacency construction run; every view evaluated through it reuses
+/// them. Cloning a scene is cheap: clones share the terrain behind an
+/// [`Arc`]. A batch fans its views out in parallel, one evaluation per
+/// view, with no per-view TIN rebuild.
+///
+/// Every evaluation owns a scoped [`CostCollector`], so each returned
+/// [`Report`]'s `cost` counters are exact for that view even when the
+/// batch runs views concurrently. To bracket a wider region (several
+/// evaluations, scene builds, your own code), install a collector of your
+/// own — evaluations nest under it and it observes their charges too:
+///
+/// ```
+/// use terrain_hsr::{CostCollector, Scene, View};
+/// use terrain_hsr::terrain::gen;
+///
+/// let bracket = CostCollector::new();
+/// let guard = bracket.install();
+/// let scene = Scene::from_grid(&gen::fbm(10, 10, 3, 6.0, 1)).unwrap();
+/// let report = scene.eval(&View::orthographic(0.0)).unwrap();
+/// drop(guard);
+/// // The bracket saw the TIN build *and* everything the view did.
+/// assert!(bracket.report().total_work() > report.cost.total_work());
+/// ```
 #[derive(Clone, Debug)]
 pub struct Scene {
     tin: Arc<Tin>,
 }
 
-/// Everything a view evaluation produced (alias of [`Report`]; the name
-/// survives from the pre-`Session` API).
-pub type SceneReport = Report;
-
 impl Scene {
-    /// Opens an evaluation session sharing this scene's terrain state.
-    pub fn session(&self) -> Session {
-        Session { tin: Arc::clone(&self.tin) }
+    /// A scene from a heightfield grid, triangulated and validated.
+    pub fn from_grid(grid: &GridTerrain) -> Result<Scene, HsrError> {
+        Ok(Scene::from_tin(grid.to_tin()?))
+    }
+
+    /// A scene from raw vertices and triangles, validated.
+    pub fn from_vertices(
+        vertices: Vec<Point3>,
+        triangles: Vec<[u32; 3]>,
+    ) -> Result<Scene, HsrError> {
+        Ok(Scene::from_tin(Tin::new(vertices, triangles)?))
+    }
+
+    /// A scene from an already validated TIN.
+    pub fn from_tin(tin: Tin) -> Scene {
+        Scene { tin: Arc::new(tin) }
+    }
+
+    /// Evaluates a single view.
+    pub fn eval(&self, view: &View) -> Result<Report, HsrError> {
+        hsr_core::view::evaluate(&self.tin, view)
+    }
+
+    /// Evaluates a batch of views in parallel, preserving input order.
+    pub fn eval_batch(&self, views: &[View]) -> Vec<Result<Report, HsrError>> {
+        hsr_core::view::evaluate_batch(&self.tin, views)
     }
 
     /// The underlying terrain.
@@ -111,48 +112,6 @@ impl Scene {
     }
 }
 
-/// Evaluates views against one shared [`Scene`].
-///
-/// Cloning the session (or opening several from the same scene) is cheap:
-/// all of them share the terrain state behind an [`Arc`]. A batch call
-/// fans the views out over rayon, one pipeline run per view, with no
-/// per-view TIN rebuild.
-///
-/// Every evaluation owns a scoped [`CostCollector`], so each returned
-/// [`Report`]'s `cost` counters are exact for that view even when the
-/// batch runs views concurrently. To bracket a wider region (several
-/// evaluations, scene builds, your own code), install a collector of your
-/// own — evaluations nest under it and it observes their charges too:
-///
-/// ```
-/// use terrain_hsr::{CostCollector, SceneBuilder, View};
-/// use terrain_hsr::terrain::gen;
-///
-/// let bracket = CostCollector::new();
-/// let guard = bracket.install();
-/// let scene = SceneBuilder::from_grid(&gen::fbm(10, 10, 3, 6.0, 1)).build().unwrap();
-/// let report = scene.session().eval(&View::orthographic(0.0)).unwrap();
-/// drop(guard);
-/// // The bracket saw the TIN build *and* everything the view did.
-/// assert!(bracket.report().total_work() > report.cost.total_work());
-/// ```
-#[derive(Clone, Debug)]
-pub struct Session {
-    tin: Arc<Tin>,
-}
-
-impl Session {
-    /// Evaluates a single view.
-    pub fn eval(&self, view: &View) -> Result<Report, HsrError> {
-        hsr_core::view::evaluate(&self.tin, view)
-    }
-
-    /// Evaluates a batch of views in parallel, preserving input order.
-    pub fn eval_batch(&self, views: &[View]) -> Vec<Result<Report, HsrError>> {
-        hsr_core::view::evaluate_batch(&self.tin, views)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,30 +119,24 @@ mod tests {
 
     #[test]
     fn end_to_end_via_facade() {
-        let scene = SceneBuilder::from_grid(&gen::fbm(8, 8, 3, 6.0, 5))
-            .build()
-            .unwrap();
-        let report = scene.session().eval(&View::orthographic(0.0)).unwrap();
+        let scene = Scene::from_grid(&gen::fbm(8, 8, 3, 6.0, 5)).unwrap();
+        let report = scene.eval(&View::orthographic(0.0)).unwrap();
         assert!(report.k > 0);
         assert_eq!(report.n, scene.counts().1);
     }
 
     #[test]
     fn rotated_views_through_session() {
-        let scene = SceneBuilder::from_grid(&gen::gaussian_hills(8, 8, 3, 6))
-            .build()
-            .unwrap();
-        let report = scene.session().eval(&View::orthographic(0.4)).unwrap();
+        let scene = Scene::from_grid(&gen::gaussian_hills(8, 8, 3, 6)).unwrap();
+        let report = scene.eval(&View::orthographic(0.4)).unwrap();
         assert!(report.k > 0);
     }
 
     #[test]
     fn batch_preserves_order_and_count() {
-        let scene = SceneBuilder::from_grid(&gen::fbm(8, 8, 3, 6.0, 9))
-            .build()
-            .unwrap();
+        let scene = Scene::from_grid(&gen::fbm(8, 8, 3, 6.0, 9)).unwrap();
         let views: Vec<View> = (0..4).map(|i| View::orthographic(0.3 * i as f64)).collect();
-        let reports = scene.session().eval_batch(&views);
+        let reports = scene.eval_batch(&views);
         assert_eq!(reports.len(), 4);
         for r in reports {
             assert!(r.unwrap().k > 0);
@@ -193,25 +146,20 @@ mod tests {
     #[test]
     fn builder_validates_raw_input() {
         use hsr_terrain::TinError;
-        let err = SceneBuilder::from_vertices(vec![Point3::new(0.0, 0.0, f64::NAN)], vec![])
-            .build()
-            .unwrap_err();
+        let err = Scene::from_vertices(vec![Point3::new(0.0, 0.0, f64::NAN)], vec![]).unwrap_err();
         assert!(matches!(err, HsrError::Terrain(TinError::NonFiniteVertex(0))));
     }
 
     #[test]
     fn algorithms_agree_through_the_session() {
-        let scene = SceneBuilder::from_grid(&gen::fbm(8, 8, 3, 6.0, 5))
-            .build()
-            .unwrap();
-        let session = scene.session();
-        let report = session.eval(&View::orthographic(0.0)).unwrap();
+        let scene = Scene::from_grid(&gen::fbm(8, 8, 3, 6.0, 5)).unwrap();
+        let report = scene.eval(&View::orthographic(0.0)).unwrap();
         assert!(report.k > 0);
-        let seq = session
+        let seq = scene
             .eval(&View::orthographic(0.0).algorithm(Algorithm::Sequential))
             .unwrap();
         assert!(report.vis.agreement(&seq.vis) > 0.9999);
-        let stats = session.eval(&View::orthographic(0.0).stats(true)).unwrap();
+        let stats = scene.eval(&View::orthographic(0.0).stats(true)).unwrap();
         assert!(!stats.layers.is_empty());
     }
 }

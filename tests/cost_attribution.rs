@@ -12,7 +12,7 @@
 use terrain_hsr::geometry::Point3;
 use terrain_hsr::pram::cost::{Category, CostCollector};
 use terrain_hsr::terrain::gen;
-use terrain_hsr::{Algorithm, Report, Scene, SceneBuilder, View};
+use terrain_hsr::{Algorithm, Report, Scene, View};
 
 /// A batch of views with wildly different work profiles: cheap and
 /// expensive orthographic rotations, the sequential baseline, the `O(n²)`
@@ -35,19 +35,16 @@ fn mixed_views(scene: &Scene) -> Vec<View> {
 }
 
 fn scene() -> Scene {
-    SceneBuilder::from_grid(&gen::ridge_field(14, 12, 4, 9.0, 31))
-        .build()
-        .unwrap()
+    Scene::from_grid(&gen::ridge_field(14, 12, 4, 9.0, 31)).unwrap()
 }
 
 #[test]
 fn batch_reports_match_solo_reports_counter_for_counter() {
     let scene = scene();
     let views = mixed_views(&scene);
-    let session = scene.session();
 
-    let solo: Vec<Report> = views.iter().map(|v| session.eval(v).unwrap()).collect();
-    let batch = session.eval_batch(&views);
+    let solo: Vec<Report> = views.iter().map(|v| scene.eval(v).unwrap()).collect();
+    let batch = scene.eval_batch(&views);
 
     for (i, (s, b)) in solo.iter().zip(&batch).enumerate() {
         let b = b.as_ref().unwrap();
@@ -76,11 +73,10 @@ fn batch_reports_match_solo_reports_counter_for_counter() {
 fn ambient_collector_sees_exactly_the_sum_of_the_batch() {
     let scene = scene();
     let views = mixed_views(&scene);
-    let session = scene.session();
 
     let bracket = CostCollector::new();
     let guard = bracket.install();
-    let batch = session.eval_batch(&views);
+    let batch = scene.eval_batch(&views);
     drop(guard);
 
     let mut sum = 0u64;
@@ -98,10 +94,9 @@ fn ambient_collector_sees_exactly_the_sum_of_the_batch() {
 fn concurrent_solo_evaluations_on_plain_threads_stay_isolated() {
     let scene = scene();
     let views = mixed_views(&scene);
-    let session = scene.session();
     let expected: Vec<Vec<u64>> = views
         .iter()
-        .map(|v| session.eval(v).unwrap().cost.work)
+        .map(|v| scene.eval(v).unwrap().cost.work)
         .collect();
 
     // Evaluate every view simultaneously from plain OS threads (no shared
@@ -110,8 +105,8 @@ fn concurrent_solo_evaluations_on_plain_threads_stay_isolated() {
         let handles: Vec<_> = views
             .iter()
             .map(|v| {
-                let session = session.clone();
-                s.spawn(move || session.eval(v).unwrap().cost.work)
+                let scene = scene.clone();
+                s.spawn(move || scene.eval(v).unwrap().cost.work)
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
@@ -130,9 +125,8 @@ fn interval_filter_counters_are_reported_and_batch_stable() {
     // `eval_batch` alongside dissimilar workloads.
     let scene = scene();
     let views = mixed_views(&scene);
-    let session = scene.session();
 
-    let solo: Vec<Report> = views.iter().map(|v| session.eval(v).unwrap()).collect();
+    let solo: Vec<Report> = views.iter().map(|v| scene.eval(v).unwrap()).collect();
     assert!(
         solo[0].cost.work_of(Category::PredicateFilter) > 0,
         "interval filter never fired on the parallel orthographic view"
@@ -149,7 +143,7 @@ fn interval_filter_counters_are_reported_and_batch_stable() {
     // endpoint tier legitimately fires often; both tiers must show up.
     assert!(filtered > 0 && exact > 0, "{filtered} filtered vs {exact} exact");
 
-    let batch = session.eval_batch(&views);
+    let batch = scene.eval_batch(&views);
     for (i, (s, b)) in solo.iter().zip(&batch).enumerate() {
         let b = b.as_ref().unwrap();
         for cat in [Category::PredicateFilter, Category::PredicateExact] {
@@ -168,7 +162,7 @@ fn uninstrumented_callers_still_get_per_view_counters() {
     // (each evaluation installs its own), and nothing leaks to a
     // collector created afterwards.
     let scene = scene();
-    let r = scene.session().eval(&View::orthographic(0.2)).unwrap();
+    let r = scene.eval(&View::orthographic(0.2)).unwrap();
     assert!(r.cost.total_work() > 0);
     assert!(r.cost.work_of(Category::Order) > 0);
     let c = CostCollector::new();
@@ -186,8 +180,7 @@ fn served_coalesced_requests_report_solo_cost_counters() {
 
     let scene = scene();
     let views = mixed_views(&scene);
-    let session = scene.session();
-    let solo: Vec<Report> = views.iter().map(|v| session.eval(v).unwrap()).collect();
+    let solo: Vec<Report> = views.iter().map(|v| scene.eval(v).unwrap()).collect();
 
     let server = ServerBuilder::new()
         .terrain("t", TerrainSource::Tin(scene.shared_tin()))
@@ -198,7 +191,7 @@ fn served_coalesced_requests_report_solo_cost_counters() {
     let mut client = Client::connect(server.local_addr()).unwrap();
     // Pipelined: the workers take compatible queued requests as batched
     // fan-outs (the naive and sequential views land in groups of their
-    // own — different CompatKey).
+    // own — a different `view.config`).
     let results = client.eval_pipelined("t", &views).unwrap();
 
     for (i, (s, b)) in solo.iter().zip(&results).enumerate() {

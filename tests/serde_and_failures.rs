@@ -61,17 +61,16 @@ fn timings_and_cost_report_roundtrip_through_json() {
 #[test]
 fn full_report_roundtrips_through_json() {
     use terrain_hsr::geometry::Point3;
-    use terrain_hsr::{SceneBuilder, View};
+    use terrain_hsr::{Scene, View};
 
     let grid = gen::occlusion_knob(10, 10, 0.8, 10.0, 6);
-    let scene = SceneBuilder::from_grid(&grid).build().unwrap();
+    let scene = Scene::from_grid(&grid).unwrap();
     let (lo, hi) = scene.tin().ground_bounds();
     let observer = Point3::new(hi.x + 100.0, 0.5 * (lo.y + hi.y), 9.0);
     let targets = vec![Point3::new(lo.x + 0.5, 0.5 * (lo.y + hi.y), 50.0)];
     // A viewshed with stats exercises every Report field: verdicts,
     // layers (with nested merge counters), cost, timings.
     let report = scene
-        .session()
         .eval(&View::viewshed(observer, targets).stats(true))
         .unwrap();
     assert!(!report.layers.is_empty());

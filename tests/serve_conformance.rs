@@ -1,6 +1,6 @@
 //! ISSUE 5 acceptance: server responses are **bit-identical** — the
 //! visibility map, the verdicts, and `n`/`k` — to calling
-//! `Scene::session()` (or `TiledScene::eval`) directly, under ≥ 8
+//! `Scene::eval` (or `TiledScene::eval`) directly, under ≥ 8
 //! concurrent clients, on both the monolithic and the tiled backend.
 //!
 //! The wire format makes this possible: the JSON float codec emits the
@@ -15,8 +15,8 @@ use terrain_hsr::core::view::Report;
 use terrain_hsr::geometry::Point3;
 use terrain_hsr::serve::{ServerBuilder, TerrainSource};
 use terrain_hsr::terrain::gen;
-use terrain_hsr::tiled::{TileStore, TilingConfig};
-use terrain_hsr::{SceneBuilder, TiledScene, TiledSceneConfig, View};
+use terrain_hsr::tile::{TileStore, TilingConfig};
+use terrain_hsr::{Scene, TiledScene, TiledSceneConfig, View};
 
 /// Every bit of a report that evaluation determines (timings are
 /// wall-clock and cache counters are load-dependent, so those are out).
@@ -58,7 +58,7 @@ fn fractional_targets(grid: &hsr_terrain::GridTerrain) -> Vec<Point3> {
 #[test]
 fn active_clients_stay_bit_identical_under_hundreds_of_idle_connections() {
     let grid = gen::diamond_square(5, 0.6, 9.0, 77); // 33×33
-    let scene = SceneBuilder::from_grid(&grid).build().unwrap();
+    let scene = Scene::from_grid(&grid).unwrap();
     let (lo, hi) = scene.tin().ground_bounds();
     let mid_y = 0.5 * (lo.y + hi.y);
     let observer = Point3::new(hi.x + 60.0, mid_y, 14.0);
@@ -69,8 +69,7 @@ fn active_clients_stay_bit_identical_under_hundreds_of_idle_connections() {
         View::orthographic(0.45),
         View::viewshed(observer, targets),
     ];
-    let session = scene.session();
-    let expected: Vec<Report> = views.iter().map(|v| session.eval(v).unwrap()).collect();
+    let expected: Vec<Report> = views.iter().map(|v| scene.eval(v).unwrap()).collect();
 
     let server = ServerBuilder::new()
         .terrain("mono", TerrainSource::Tin(scene.shared_tin()))
@@ -160,7 +159,7 @@ fn active_clients_stay_bit_identical_under_hundreds_of_idle_connections() {
 #[test]
 fn racing_clients_get_bit_identical_reports_on_both_backends() {
     let grid = gen::diamond_square(5, 0.6, 9.0, 77); // 33×33
-    let scene = SceneBuilder::from_grid(&grid).build().unwrap();
+    let scene = Scene::from_grid(&grid).unwrap();
     let (lo, hi) = scene.tin().ground_bounds();
     let mid_y = 0.5 * (lo.y + hi.y);
     let observer = Point3::new(hi.x + 60.0, mid_y, 14.0);
@@ -192,11 +191,7 @@ fn racing_clients_get_bit_identical_reports_on_both_backends() {
         View::viewshed(observer, targets.clone()),
     ];
     let tiled_view = View::viewshed(observer, targets.clone());
-    let session = scene.session();
-    let mono_expected: Vec<Report> = mono_views
-        .iter()
-        .map(|v| session.eval(v).unwrap())
-        .collect();
+    let mono_expected: Vec<Report> = mono_views.iter().map(|v| scene.eval(v).unwrap()).collect();
     let tiled_expected = tiled.eval(&tiled_view).unwrap().report;
     // Full-resolution tiled verdicts agree with the monolithic ones.
     assert_eq!(tiled_expected.verdicts, mono_expected[3].verdicts);

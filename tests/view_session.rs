@@ -1,8 +1,8 @@
-//! Integration: the viewpoint-centric Scene/View/Session API.
+//! Integration: the viewpoint-centric Scene/View API.
 //!
 //! The headline acceptance check lives here: a batch of eight
 //! rotated/perspective views of one terrain evaluated through a single
-//! `Session` must produce results bit-identical to eight independent
+//! `Scene` must produce results bit-identical to eight independent
 //! `Scene` runs — while building the shared terrain state (TIN
 //! validation + adjacency) exactly once, asserted through the cost
 //! model's `TinBuild` counter.
@@ -10,7 +10,7 @@
 use terrain_hsr::geometry::Point3;
 use terrain_hsr::pram::cost::{Category, CostCollector};
 use terrain_hsr::terrain::gen;
-use terrain_hsr::{Report, SceneBuilder, Verdict, View};
+use terrain_hsr::{Report, Scene, Verdict, View};
 
 type Fingerprint = (Vec<(u32, [u64; 4])>, Vec<(u32, u32, [u64; 2])>, Vec<u32>);
 
@@ -65,8 +65,8 @@ fn batch_of_eight_matches_independent_scenes_and_builds_state_once() {
     let independent: Vec<Report> = views
         .iter()
         .map(|v| {
-            let scene = SceneBuilder::from_grid(&grid).build().unwrap();
-            scene.session().eval(v).unwrap()
+            let scene = Scene::from_grid(&grid).unwrap();
+            scene.eval(v).unwrap()
         })
         .collect();
 
@@ -76,13 +76,13 @@ fn batch_of_eight_matches_independent_scenes_and_builds_state_once() {
     // including inside a worker-thread evaluation.
     let bracket = CostCollector::new();
     let guard = bracket.install();
-    let scene = SceneBuilder::from_grid(&grid).build().unwrap();
-    let batch = scene.session().eval_batch(&views);
+    let scene = Scene::from_grid(&grid).unwrap();
+    let batch = scene.eval_batch(&views);
     drop(guard);
     let builds = bracket.report().work_of(Category::TinBuild);
     assert_eq!(
         builds, 1,
-        "a batch over one Session must build the shared terrain state exactly once"
+        "a batch over one Scene must build the shared terrain state exactly once"
     );
 
     assert_eq!(batch.len(), independent.len());
@@ -97,8 +97,8 @@ fn batch_of_eight_matches_independent_scenes_and_builds_state_once() {
     let bracket = CostCollector::new();
     let guard = bracket.install();
     for v in &views {
-        let scene = SceneBuilder::from_grid(&grid).build().unwrap();
-        let _ = scene.session().eval(v).unwrap();
+        let scene = Scene::from_grid(&grid).unwrap();
+        let _ = scene.eval(v).unwrap();
     }
     drop(guard);
     let builds = bracket.report().work_of(Category::TinBuild);
@@ -107,14 +107,11 @@ fn batch_of_eight_matches_independent_scenes_and_builds_state_once() {
 
 #[test]
 fn rotated_views_need_no_rebuild() {
-    let scene = SceneBuilder::from_grid(&gen::gaussian_hills(12, 12, 4, 5))
-        .build()
-        .unwrap();
-    let session = scene.session();
+    let scene = Scene::from_grid(&gen::gaussian_hills(12, 12, 4, 5)).unwrap();
     let bracket = CostCollector::new();
     let guard = bracket.install();
     for i in 0..4 {
-        let r = session.eval(&View::orthographic(0.4 * i as f64)).unwrap();
+        let r = scene.eval(&View::orthographic(0.4 * i as f64)).unwrap();
         assert!(r.k > 0);
         assert_eq!(r.cost.work_of(Category::TinBuild), 0, "view {i} rebuilt terrain state");
     }
@@ -126,7 +123,7 @@ fn rotated_views_need_no_rebuild() {
 #[test]
 fn viewshed_through_session_matches_direct_classification() {
     let grid = gen::occlusion_knob(12, 12, 0.9, 10.0, 4);
-    let scene = SceneBuilder::from_grid(&grid).build().unwrap();
+    let scene = Scene::from_grid(&grid).unwrap();
     let tin = scene.tin();
     let (lo, hi) = tin.ground_bounds();
     let observer = Point3::new(hi.x + 200.0, 0.5 * (lo.y + hi.y), 12.0);
@@ -135,7 +132,6 @@ fn viewshed_through_session_matches_direct_classification() {
         Point3::new(lo.x + 0.1, 0.5 * (lo.y + hi.y), 0.05),
     ];
     let report = scene
-        .session()
         .eval(&View::viewshed(observer, targets.clone()))
         .unwrap();
     assert_eq!(report.verdicts.len(), targets.len());
@@ -146,15 +142,13 @@ fn viewshed_through_session_matches_direct_classification() {
 
 #[test]
 fn batch_propagates_per_view_errors_without_poisoning_the_rest() {
-    let scene = SceneBuilder::from_grid(&gen::fbm(8, 8, 3, 6.0, 2))
-        .build()
-        .unwrap();
+    let scene = Scene::from_grid(&gen::fbm(8, 8, 3, 6.0, 2)).unwrap();
     let views = vec![
         View::orthographic(0.0),
         View::orthographic(f64::NAN), // invalid
         View::orthographic(0.2),
     ];
-    let results = scene.session().eval_batch(&views);
+    let results = scene.eval_batch(&views);
     assert!(results[0].is_ok());
     assert!(matches!(
         results[1].as_ref().unwrap_err(),
